@@ -89,35 +89,17 @@ void BM_UcqContainment(benchmark::State& state) {
 BENCHMARK(BM_UcqContainment)->DenseRange(1, 5)
     ->Unit(benchmark::kMicrosecond);
 
-// --- Engine-differential variants (DESIGN.md §12) ---
+// --- Homomorphism-search shapes (DESIGN.md §12) ---
 //
-// Hom-dominated shapes, parameterized by engine (arg 1: 0 = indexed,
-// 1 = legacy) so `--benchmark_filter=ByEngine` prints the speedup directly.
-// The legacy rows only run under -DVQDR_MATCHER_LEGACY=ON and are skipped
-// (not silently measured as indexed) otherwise. Memoization is pinned off:
-// the subject here is the homomorphism search, not the verdict cache.
+// Hom-dominated shapes for the indexed-join engine. Memoization is pinned
+// off: the subject here is the homomorphism search, not the verdict cache.
 
-bool SelectEngine(benchmark::State& state, MatcherOptions* matcher) {
-  if (state.range(1) == 0) {
-    matcher->engine = MatcherEngine::kIndexed;
-    return true;
-  }
-  if (!MatcherLegacyCompiled()) {
-    state.SkipWithError("legacy oracle not compiled (-DVQDR_MATCHER_LEGACY=ON)");
-    return false;
-  }
-  matcher->engine = MatcherEngine::kLegacy;
-  return true;
-}
-
-void BM_HomChainContainmentByEngine(benchmark::State& state) {
+void BM_HomChainContainment(benchmark::State& state) {
   // Chain-2n vs chain-n: the pattern check walks a long frozen path with
-  // the head pre-bound — a deep, failure-terminated join where the legacy
-  // engine re-scans the whole edge relation at every node.
+  // the head pre-bound — a deep, failure-terminated join.
   int n = static_cast<int>(state.range(0));
   CqContainmentOptions options;
   options.memo.use = memo::Use::kOff;
-  if (!SelectEngine(state, &options.matcher)) return;
   ConjunctiveQuery longer = ChainQuery(2 * n);
   ConjunctiveQuery shorter = ChainQuery(n);
   for (auto _ : state) {
@@ -126,35 +108,29 @@ void BM_HomChainContainmentByEngine(benchmark::State& state) {
   }
   state.counters["atoms"] = static_cast<double>(2 * n);
 }
-BENCHMARK(BM_HomChainContainmentByEngine)
-    ->ArgsProduct({{16, 24, 32}, {0, 1}})
+BENCHMARK(BM_HomChainContainment)->Arg(16)->Arg(24)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_HomPatternOverRandomGraphByEngine(benchmark::State& state) {
+void BM_HomPatternOverRandomGraph(benchmark::State& state) {
   // Chain-pattern evaluation over a dense random graph: the success-heavy
   // case (every hom is enumerated), measuring raw candidate generation.
   int k = static_cast<int>(state.range(0));
-  MatcherOptions matcher;
-  if (!SelectEngine(state, &matcher)) return;
   ConjunctiveQuery q = ChainQuery(k);
   Instance g = RandomGraph(40, 240, /*seed=*/7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateCq(q, g, matcher));
+    benchmark::DoNotOptimize(EvaluateCq(q, g));
   }
   state.counters["edges"] =
       static_cast<double>(g.Get("E").tuples().size());
 }
-BENCHMARK(BM_HomPatternOverRandomGraphByEngine)
-    ->ArgsProduct({{2, 3, 4}, {0, 1}})
+BENCHMARK(BM_HomPatternOverRandomGraph)->DenseRange(2, 4)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_HomOddCycleOverBipartiteByEngine(benchmark::State& state) {
+void BM_HomOddCycleOverBipartite(benchmark::State& state) {
   // Failure-heavy: an odd cycle has no hom into a bipartite graph, so the
   // whole search tree is refutation — exactly where forward checking and
   // backjumping earn their keep.
   int k = static_cast<int>(state.range(0));  // odd cycle length
-  MatcherOptions matcher;
-  if (!SelectEngine(state, &matcher)) return;
   ConjunctiveQuery q = CycleQuery(k);
   Instance g(Schema{{"E", 2}});
   for (int i = 1; i <= 10; ++i) {
@@ -168,11 +144,10 @@ void BM_HomOddCycleOverBipartiteByEngine(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateCq(q, g, matcher));
+    benchmark::DoNotOptimize(EvaluateCq(q, g));
   }
 }
-BENCHMARK(BM_HomOddCycleOverBipartiteByEngine)
-    ->ArgsProduct({{5, 7}, {0, 1}})
+BENCHMARK(BM_HomOddCycleOverBipartite)->Arg(5)->Arg(7)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

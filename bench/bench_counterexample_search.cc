@@ -10,7 +10,6 @@
 
 #include "core/finite_search.h"
 #include "core/twin_encoding.h"
-#include "cq/matcher.h"
 #include "cq/parser.h"
 #include "reductions/counterexamples.h"
 
@@ -79,43 +78,6 @@ void BM_MonotonicitySearchProp512(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MonotonicitySearchProp512)->DenseRange(2, 2)
-    ->Unit(benchmark::kMillisecond);
-
-// --- Engine-differential variant (DESIGN.md §12) ---
-//
-// The finite search evaluates views and queries on every enumerated
-// instance — thousands of small hom searches — and routes through the
-// process-default engine, so this variant swaps the default for the
-// duration of the run (arg 1: 0 = indexed, 1 = legacy; legacy rows are
-// skipped unless -DVQDR_MATCHER_LEGACY=ON). `instances` must be identical
-// across engines: the search path is byte-deterministic.
-
-void BM_DirectSearchProp58ByEngine(benchmark::State& state) {
-  MatcherEngine engine = MatcherEngine::kIndexed;
-  if (state.range(1) != 0) {
-    if (!MatcherLegacyCompiled()) {
-      state.SkipWithError(
-          "legacy oracle not compiled (-DVQDR_MATCHER_LEGACY=ON)");
-      return;
-    }
-    engine = MatcherEngine::kLegacy;
-  }
-  NamePool pool;
-  NonMonotonicityFamily family = Prop58Family(pool);
-  EnumerationOptions options;
-  options.domain_size = static_cast<int>(state.range(0));
-  MatcherEngine previous = SetDefaultMatcherEngine(engine);
-  for (auto _ : state) {
-    auto result = SearchDeterminacyCounterexample(family.views, family.query,
-                                                  family.base, options);
-    benchmark::DoNotOptimize(result);
-    state.counters["instances"] =
-        static_cast<double>(result.instances_examined);
-  }
-  SetDefaultMatcherEngine(previous);
-}
-BENCHMARK(BM_DirectSearchProp58ByEngine)
-    ->ArgsProduct({{2, 3}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

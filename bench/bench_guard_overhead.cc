@@ -1,13 +1,10 @@
 // Guard-seam overhead benchmark: the governance checkpoints must be free
 // when no budget is attached and near-free with an unlimited one. Each hot
-// path runs three ways — ungoverned (nullptr budget, what a -DVQDR_GUARD=OFF
-// build also measures since the stub inlines to nothing), with an unlimited
-// Budget (a relaxed fetch_add per checkpoint, a clock read every
-// kClockStride steps), and the raw legacy entry point where one exists.
-// The overhead budget, like the obs seam's, is <= 2%: compare the
-// `*_unbudgeted` variants of this file's BENCH_guard_overhead.json between
-// a default build and a -DVQDR_GUARD=OFF build (the `guard_enabled` counter
-// on every benchmark says which build produced the file).
+// path runs two ways — ungoverned (nullptr budget: one null test per
+// checkpoint) and with an unlimited Budget (a relaxed fetch_add per
+// checkpoint, a clock read every kClockStride steps). The overhead budget,
+// like the obs seam's, is <= 2%: compare the `*UnlimitedBudget` rows of
+// BENCH_guard_overhead.json against the `*Unbudgeted` ones.
 //
 // Workloads mirror the substrate benches: the finite counterexample search
 // (tightest checkpoint loop — one per instance plus one per matcher node),
@@ -27,12 +24,6 @@
 namespace vqdr {
 namespace {
 
-#ifndef VQDR_GUARD_DISABLED
-constexpr double kGuardEnabled = 1.0;
-#else
-constexpr double kGuardEnabled = 0.0;
-#endif
-
 // --- finite counterexample search ------------------------------------------
 
 void BM_SearchUnbudgeted(benchmark::State& state) {
@@ -46,7 +37,6 @@ void BM_SearchUnbudgeted(benchmark::State& state) {
     benchmark::DoNotOptimize(
         SearchDeterminacyCounterexample(views, q, schema, options));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_SearchUnbudgeted)->DenseRange(2, 3)
     ->Unit(benchmark::kMicrosecond);
@@ -64,7 +54,6 @@ void BM_SearchUnlimitedBudget(benchmark::State& state) {
     benchmark::DoNotOptimize(
         SearchDeterminacyCounterexample(views, q, schema, options));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_SearchUnlimitedBudget)->DenseRange(2, 3)
     ->Unit(benchmark::kMicrosecond);
@@ -86,7 +75,6 @@ void BM_ContainmentUnbudgeted(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(CqContainedInGoverned(q1, q2, options));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_ContainmentUnbudgeted)->DenseRange(3, 5)
     ->Unit(benchmark::kMicrosecond);
@@ -102,7 +90,6 @@ void BM_ContainmentUnlimitedBudget(benchmark::State& state) {
     options.budget = &budget;
     benchmark::DoNotOptimize(CqContainedInGoverned(q1, q2, options));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_ContainmentUnlimitedBudget)->DenseRange(3, 5)
     ->Unit(benchmark::kMicrosecond);
@@ -119,7 +106,6 @@ void BM_ChaseChainUnbudgeted(benchmark::State& state) {
     options.levels = levels;
     benchmark::DoNotOptimize(BuildChaseChain(views, q, options, factory));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_ChaseChainUnbudgeted)->DenseRange(1, 3)
     ->Unit(benchmark::kMicrosecond);
@@ -136,7 +122,6 @@ void BM_ChaseChainUnlimitedBudget(benchmark::State& state) {
     options.budget = &budget;
     benchmark::DoNotOptimize(BuildChaseChain(views, q, options, factory));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_ChaseChainUnlimitedBudget)->DenseRange(1, 3)
     ->Unit(benchmark::kMicrosecond);

@@ -1,16 +1,12 @@
 # Validates a BENCH_<name>.json produced by bench/bench_json.h: it must
-# parse, name the bench, carry a wall time, and report >= MIN_OBS_COUNTERS
-# obs counters (default 3; the bench fixtures pass 0 for -DVQDR_OBS=OFF
-# builds, where the macro layer is compiled out and an empty obs block is
-# the correct output).
+# parse, name the bench, carry a wall time, and report at least 3 obs
+# counters.
 # Usage: cmake -DJSON_FILE=path/to/BENCH_x.json -P check_bench_json.cmake
 #
 # Optionally pass -DREQUIRE_BENCH_COUNTERS=a,b,c (comma-separated): each
 # named user counter must appear in at least one benchmark record. The memo
 # fixture uses this to pin hit_rate and speedup_vs_cold into BENCH_memo.json.
-if(NOT DEFINED MIN_OBS_COUNTERS)
-  set(MIN_OBS_COUNTERS 3)
-endif()
+set(MIN_OBS_COUNTERS 3)
 file(READ "${JSON_FILE}" content)
 string(JSON bench_name GET "${content}" bench)
 string(JSON wall_time GET "${content}" wall_time_s)

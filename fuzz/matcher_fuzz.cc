@@ -1,19 +1,14 @@
 // libFuzzer harness for the homomorphism matcher (cq/matcher.h): decodes
 // the input bytes into a (query, instance, MatcherOptions) triple and runs
-// the indexed engine against a reference enumeration, trapping on any
-// divergence. The decoder is byte-oriented (no text parser in the loop) so
-// coverage lands in the join machinery, not the grammar.
+// the indexed engine against the naive backtracking oracle
+// (tests/matcher_oracle.h), trapping on any divergence. The decoder is
+// byte-oriented (no text parser in the loop) so coverage lands in the join
+// machinery, not the grammar.
 //
-// Oracles, strongest available first:
-//   * -DVQDR_MATCHER_LEGACY=ON builds: the legacy engine replays the same
-//     search and the full match SEQUENCES must be identical (the order-
-//     preservation contract of DESIGN.md §12).
-//   * Plain builds: the indexed engine with every pruning rule disabled is
-//     the reference — forward checking, backjumping and symmetry breaking
-//     are each claimed to be order-preserving, so any toggle combination
-//     must reproduce the unpruned sequence.
-// In both modes every reported binding is independently checked to be a
-// homomorphism (each atom's image is a fact of the instance).
+// The full match SEQUENCES must be identical under every combination of
+// the pruning toggles (the order-preservation contract of DESIGN.md §12),
+// and every reported binding is independently checked to be a homomorphism
+// (each atom's image is a fact of the instance).
 //
 // Built two ways by fuzz/CMakeLists.txt:
 //   * fuzz_matcher (Clang + -fsanitize=fuzzer): coverage-guided run;
@@ -30,13 +25,13 @@
 #include "data/instance.h"
 #include "data/schema.h"
 #include "data/value.h"
+#include "matcher_oracle.h"
 
 namespace {
 
 using vqdr::Atom;
 using vqdr::Binding;
 using vqdr::Instance;
-using vqdr::MatcherEngine;
 using vqdr::MatcherOptions;
 using vqdr::Schema;
 using vqdr::Term;
@@ -122,16 +117,20 @@ struct EnumerationResult {
   bool completed = false;
 };
 
+// Collects matches until kMaxMatches; `options` selects the indexed engine's
+// pruning toggles, and nullptr runs the oracle instead.
 EnumerationResult Enumerate(const std::vector<Atom>& atoms, const Instance& db,
-                            const MatcherOptions& options) {
+                            const MatcherOptions* options) {
   EnumerationResult result;
-  result.completed = vqdr::ForEachMatch(
-      atoms, db, Binding{},
-      [&result](const Binding& b) {
-        result.matches.push_back(b);
-        return result.matches.size() < kMaxMatches;
-      },
-      nullptr, options);
+  auto collect = [&result](const Binding& b) {
+    result.matches.push_back(b);
+    return result.matches.size() < kMaxMatches;
+  };
+  result.completed =
+      options != nullptr
+          ? vqdr::ForEachMatch(atoms, db, Binding{}, collect, nullptr,
+                               *options)
+          : vqdr::oracle::ForEachMatch(atoms, db, Binding{}, collect);
   return result;
 }
 
@@ -143,26 +142,16 @@ void FuzzMatcher(const std::uint8_t* data, std::size_t size) {
   Instance db = DecodeInstance(in);
 
   MatcherOptions tested;
-  tested.engine = MatcherEngine::kIndexed;
   tested.forward_checking = (config & 1) != 0;
   tested.conflict_backjumping = (config & 2) != 0;
   tested.symmetry_breaking = (config & 4) != 0;
-  EnumerationResult got = Enumerate(atoms, db, tested);
+  EnumerationResult got = Enumerate(atoms, db, &tested);
 
   for (const Binding& b : got.matches) {
     if (!IsHomomorphism(atoms, db, b)) __builtin_trap();
   }
 
-  MatcherOptions reference;
-  if (vqdr::MatcherLegacyCompiled()) {
-    reference.engine = MatcherEngine::kLegacy;
-  } else {
-    reference.engine = MatcherEngine::kIndexed;
-    reference.forward_checking = false;
-    reference.conflict_backjumping = false;
-    reference.symmetry_breaking = false;
-  }
-  EnumerationResult want = Enumerate(atoms, db, reference);
+  EnumerationResult want = Enumerate(atoms, db, nullptr);
 
   if (got.completed != want.completed) __builtin_trap();
   if (got.matches != want.matches) __builtin_trap();

@@ -1,31 +1,26 @@
 #include "chase/chain.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 
 #include "base/check.h"
 #include "chase/view_inverse.h"
+#include "cq/fingerprint.h"
+#include "cq/serialize.h"
+#include "data/serialize.h"
+#include "memo/snapshot.h"
+#include "memo/store.h"
 #include "obs/context.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 
-#ifndef VQDR_MEMO_DISABLED
-#include <memory>
-
-#include "cq/fingerprint.h"
-#include "cq/serialize.h"
-#include "data/serialize.h"
-#include "memo/snapshot.h"
-#include "memo/store.h"
-#endif
-
 namespace vqdr {
 
 namespace {
 
-#ifndef VQDR_MEMO_DISABLED
 /// A cached chain plus the factory state after the build, so a hit can
 /// replay the exact factory advance of the original computation.
 struct CachedChaseChain {
@@ -76,7 +71,6 @@ std::shared_ptr<const CachedChaseChain> DecodeCachedChain(
 [[maybe_unused]] const bool kChainCodecRegistered =
     memo::RegisterSnapshotType<CachedChaseChain>(
         "chase.chain.v1", EncodeCachedChain, DecodeCachedChain);
-#endif
 
 ChaseChain BuildChaseChainImpl(const ViewSet& views, const ConjunctiveQuery& q,
                                const ChaseChainOptions& options,
@@ -126,7 +120,6 @@ ChaseChain BuildChaseChain(const ViewSet& views, const ConjunctiveQuery& q,
                            const ChaseChainOptions& options,
                            ValueFactory& factory) {
   obs::OpScope op(obs::OpKind::kChase, "chase.chain", options.budget);
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.chase.chain");
     // Exact key: the chain's instances carry concrete value ids, so the
@@ -151,7 +144,6 @@ ChaseChain BuildChaseChain(const ViewSet& views, const ConjunctiveQuery& q,
     }
     return chain;
   }
-#endif
   return BuildChaseChainImpl(views, q, options, factory);
 }
 

@@ -1,21 +1,17 @@
 #include "chase/view_inverse.h"
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "base/check.h"
-#include "guard/fault.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-
-#ifndef VQDR_MEMO_DISABLED
-#include <memory>
-
 #include "cq/fingerprint.h"
 #include "data/serialize.h"
+#include "guard/fault.h"
 #include "memo/snapshot.h"
 #include "memo/store.h"
-#endif
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace vqdr {
 
@@ -29,7 +25,6 @@ Schema ChaseSchema(const ViewSet& views, const Schema& base) {
 
 namespace {
 
-#ifndef VQDR_MEMO_DISABLED
 /// A cached inverse plus the factory state after the call, so a hit replays
 /// the exact minting of the original computation.
 struct CachedInverse {
@@ -59,7 +54,6 @@ std::shared_ptr<const CachedInverse> DecodeCachedInverse(
 [[maybe_unused]] const bool kInverseCodecRegistered =
     memo::RegisterSnapshotType<CachedInverse>(
         "chase.vinv.v1", EncodeCachedInverse, DecodeCachedInverse);
-#endif
 
 Instance ViewInverseImpl(const ViewSet& views, const Instance& base,
                          const Instance& s_prime, ValueFactory& factory,
@@ -70,7 +64,6 @@ Instance ViewInverseImpl(const ViewSet& views, const Instance& base,
 Instance ViewInverse(const ViewSet& views, const Instance& base,
                      const Instance& s_prime, ValueFactory& factory,
                      guard::Budget* budget) {
-#ifndef VQDR_MEMO_DISABLED
   if (memo::Enabled()) {
     VQDR_TRACE_SPAN("memo.chase.view_inverse");
     // Exact key: the result carries concrete minted ids, so both input
@@ -91,7 +84,6 @@ Instance ViewInverse(const ViewSet& views, const Instance& base,
     }
     return result;
   }
-#endif
   return ViewInverseImpl(views, base, s_prime, factory, budget);
 }
 

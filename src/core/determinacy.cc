@@ -1,25 +1,22 @@
 #include "core/determinacy.h"
 
+#include <memory>
+#include <string>
+
 #include "base/check.h"
 #include "chase/view_inverse.h"
 #include "cq/canonical.h"
 #include "cq/explain_bridge.h"
-#include "cq/matcher.h"
-#include "obs/context.h"
-#include "obs/explain.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-
-#ifndef VQDR_MEMO_DISABLED
-#include <memory>
-#include <string>
-
 #include "cq/fingerprint.h"
+#include "cq/matcher.h"
 #include "cq/serialize.h"
 #include "data/serialize.h"
 #include "memo/snapshot.h"
 #include "memo/store.h"
-#endif
+#include "obs/context.h"
+#include "obs/explain.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace vqdr {
 
@@ -29,7 +26,6 @@ UnrestrictedDeterminacyResult DecideUnrestrictedDeterminacyImpl(
     const ViewSet& views, const ConjunctiveQuery& q, guard::Budget* budget,
     obs::ExplainLog* explain);
 
-#ifndef VQDR_MEMO_DISABLED
 // Snapshot codec (DESIGN.md §14). Only kComplete results are installed, so
 // the outcome is implied; the verdict, both instances, the frozen head, and
 // the optional rewriting are encoded exactly.
@@ -70,7 +66,6 @@ DecodeDeterminacyResult(std::string_view payload) {
 [[maybe_unused]] const bool kDeterminacyCodecRegistered =
     memo::RegisterSnapshotType<UnrestrictedDeterminacyResult>(
         "det.v1", EncodeDeterminacyResult, DecodeDeterminacyResult);
-#endif
 
 void RecordDeterminacyMemoProbe(obs::ExplainLog* log, bool hit) {
   if (!obs::Wants(log)) return;
@@ -90,7 +85,6 @@ UnrestrictedDeterminacyResult DecideUnrestrictedDeterminacy(
   // No-op when already inside a battery/batch op; top-level direct calls
   // get their own registry entry.
   obs::OpScope op(obs::OpKind::kDecide, "determinacy.decide", budget);
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(memo)) {
     VQDR_TRACE_SPAN("memo.determinacy");
     // Exact key: the result's instances carry concrete frozen-value ids.
@@ -110,7 +104,6 @@ UnrestrictedDeterminacyResult DecideUnrestrictedDeterminacy(
     if (guard::IsComplete(result.outcome)) store.Put(key, result);
     return result;
   }
-#endif
   return DecideUnrestrictedDeterminacyImpl(views, q, budget, explain);
 }
 

@@ -56,10 +56,10 @@ struct UnrestrictedDeterminacyResult {
 /// builds its own value factory, so equal inputs replay byte-identically —
 /// and only kComplete outcomes are ever installed. See DESIGN.md §9.
 ///
-/// `explain`, when non-null (and VQDR_OBS is compiled in), receives the
-/// decision's provenance: a kDecision event carrying either the replayable
-/// homomorphism witnessing x̄ ∈ Q(D') (determined) or the chased-back D'
-/// that refutes it (not determined), plus kMemo events for cache probes.
+/// `explain`, when non-null, receives the decision's provenance: a kDecision
+/// event carrying either the replayable homomorphism witnessing x̄ ∈ Q(D')
+/// (determined) or the chased-back D' that refutes it (not determined), plus
+/// kMemo events for cache probes.
 UnrestrictedDeterminacyResult DecideUnrestrictedDeterminacy(
     const ViewSet& views, const ConjunctiveQuery& q,
     guard::Budget* budget = nullptr, const memo::MemoOptions& memo = {},

@@ -6,10 +6,7 @@
 #include "obs/context.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-
-#ifndef VQDR_PAR_DISABLED
 #include "par/pool.h"
-#endif
 
 namespace vqdr {
 
@@ -46,8 +43,7 @@ DeterminacyBatchResult DecideUnrestrictedDeterminacyBatchGoverned(
     return true;
   };
 
-#ifndef VQDR_PAR_DISABLED
-  if (threads == 0) threads = par::DefaultThreads();
+  threads = par::ResolveThreads(threads);
   if (threads > 1 && items.size() > 1) {
     std::atomic<std::uint64_t> done{0};
     std::uint64_t pool_errors = 0;
@@ -85,7 +81,6 @@ DeterminacyBatchResult DecideUnrestrictedDeterminacyBatchGoverned(
     }
     return batch;
   }
-#endif
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (decide_one(i)) {

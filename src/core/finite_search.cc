@@ -12,11 +12,8 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-
-#ifndef VQDR_PAR_DISABLED
 #include "par/pool.h"
 #include "par/shard.h"
-#endif
 
 namespace vqdr {
 
@@ -26,28 +23,15 @@ namespace {
 // sparse enough that a callback-free run pays only the ticker branch.
 constexpr std::uint64_t kProgressStride = 1024;
 
-#ifndef VQDR_PAR_DISABLED
 // Budget-checkpoint cadence inside parallel workers: tighter than the
 // progress stride so deadlines and cancellation land promptly even when the
 // per-instance work is expensive.
 constexpr std::uint64_t kGovernStride = 128;
-#endif
 
 std::vector<Value> UniverseFor(const EnumerationOptions& options) {
   std::vector<Value> universe;
   for (int v = 1; v <= options.domain_size; ++v) universe.push_back(Value(v));
   return universe;
-}
-
-int ResolveThreads(const EnumerationOptions& options) {
-#ifdef VQDR_PAR_DISABLED
-  (void)options;
-  return 1;
-#else
-  int threads = options.threads;
-  if (threads == 0) threads = par::DefaultThreads();
-  return threads < 1 ? 1 : threads;
-#endif
 }
 
 DeterminacySearchResult SearchDeterminacyCounterexampleSerial(
@@ -118,8 +102,6 @@ DeterminacySearchResult SearchDeterminacyCounterexampleSerial(
   }
   return result;
 }
-
-#ifndef VQDR_PAR_DISABLED
 
 // Per-chunk grouping record: enough to reconstruct, at merge time, the first
 // conflict the serial sweep would have reported. For each view-image key a
@@ -285,8 +267,6 @@ DeterminacySearchResult SearchDeterminacyCounterexampleParallel(
   return result;
 }
 
-#endif  // VQDR_PAR_DISABLED
-
 MonotonicitySearchResult SearchMonotonicityViolationSerial(
     const ViewSet& views, const Query& q, const Schema& base,
     const EnumerationOptions& options) {
@@ -362,8 +342,6 @@ MonotonicitySearchResult SearchMonotonicityViolationSerial(
   }
   return result;
 }
-
-#ifndef VQDR_PAR_DISABLED
 
 MonotonicitySearchResult SearchMonotonicityViolationParallel(
     const ViewSet& views, const Query& q, const InstanceSpace& space,
@@ -536,8 +514,6 @@ MonotonicitySearchResult SearchMonotonicityViolationParallel(
   return result;
 }
 
-#endif  // VQDR_PAR_DISABLED
-
 // Provenance for a finished bounded search: the refuting pair itself on a
 // hit (both instances, replayable), a kNote stating what the silence means
 // otherwise. Recorded in the top-level wrappers so serial and parallel
@@ -577,10 +553,9 @@ DeterminacySearchResult SearchDeterminacyCounterexample(
     const EnumerationOptions& options) {
   obs::OpScope op(obs::OpKind::kSearch, "search.determinacy", options.budget);
   VQDR_TRACE_SPAN("search.determinacy");
-  const int threads = ResolveThreads(options);
+  const int threads = par::ResolveThreads(options.threads);
   DeterminacySearchResult result;
   bool computed = false;
-#ifndef VQDR_PAR_DISABLED
   if (threads > 1) {
     InstanceSpace space(base, UniverseFor(options));
     if (space.indexable()) {
@@ -591,7 +566,6 @@ DeterminacySearchResult SearchDeterminacyCounterexample(
     // Not indexable: the serial sweep's incremental bail-out semantics are
     // the only option.
   }
-#endif
   if (!computed) {
     result = SearchDeterminacyCounterexampleSerial(views, q, base, options);
   }
@@ -609,10 +583,9 @@ MonotonicitySearchResult SearchMonotonicityViolation(
   obs::OpScope op(obs::OpKind::kMonotonicity, "search.monotonicity",
                   options.budget);
   VQDR_TRACE_SPAN("search.monotonicity");
-  const int threads = ResolveThreads(options);
+  const int threads = par::ResolveThreads(options.threads);
   MonotonicitySearchResult result;
   bool computed = false;
-#ifndef VQDR_PAR_DISABLED
   if (threads > 1) {
     InstanceSpace space(base, UniverseFor(options));
     if (space.indexable()) {
@@ -621,7 +594,6 @@ MonotonicitySearchResult SearchMonotonicityViolation(
       computed = true;
     }
   }
-#endif
   if (!computed) {
     result = SearchMonotonicityViolationSerial(views, q, base, options);
   }

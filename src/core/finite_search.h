@@ -63,11 +63,10 @@ struct DeterminacySearchResult {
 /// liveness through obs::ReportProgress ("search.instances"); a progress
 /// callback returning false stops the search with kBudgetExhausted.
 ///
-/// With options.threads > 1 (and VQDR_PAR on) the instance space is sharded
-/// across a work-stealing pool; the merge is deterministic and
-/// lowest-index-wins, so the verdict *and* the counterexample pair are
-/// identical to the serial sweep's. threads == 1 runs the original serial
-/// code path unchanged.
+/// With options.threads > 1 the instance space is sharded across a
+/// work-stealing pool; the merge is deterministic and lowest-index-wins, so
+/// the verdict *and* the counterexample pair are identical to the serial
+/// sweep's. threads == 1 runs the original serial code path unchanged.
 DeterminacySearchResult SearchDeterminacyCounterexample(
     const ViewSet& views, const Query& q, const Schema& base,
     const EnumerationOptions& options);

@@ -45,7 +45,7 @@ struct DeterminacyAnalysisOptions {
   /// Collect decision provenance into DeterminacyReport::explain: the chase
   /// decision's witness or refuting inverse, every counterexample pair the
   /// searches surface, memo probes, and a closing note naming the verdict.
-  /// No-op (empty log) when VQDR_OBS is compiled out. See DESIGN.md §10.
+  /// See DESIGN.md §10.
   bool explain = false;
 };
 
@@ -82,11 +82,11 @@ struct DeterminacyReport {
 
   /// Memoization activity attributed to this analysis (the process-wide
   /// store's delta across the battery). All-zero when memoization is
-  /// disabled or compiled out.
+  /// disabled.
   memo::StatsSnapshot memo;
 
-  /// Decision provenance (populated when opts.explain was set and VQDR_OBS
-  /// is compiled in; empty otherwise). Serialize with explain.ToJson().
+  /// Decision provenance (populated when opts.explain was set; empty
+  /// otherwise). Serialize with explain.ToJson().
   obs::ExplainLog explain;
 
   /// One-paragraph human-readable summary, ending with "[metrics] ..." /

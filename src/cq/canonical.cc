@@ -89,8 +89,7 @@ ConjunctiveQuery InstanceToQuery(const Instance& instance, const Tuple& head,
 
 std::optional<std::map<Value, Value>> FindInstanceHomomorphism(
     const Instance& from, const Instance& to,
-    const std::map<Value, Value>& fixed, const std::set<Value>& constants,
-    const MatcherOptions& matcher) {
+    const std::map<Value, Value>& fixed, const std::set<Value>& constants) {
   // Convert `from` into a set of atoms: non-constant values become variables
   // named after their id, then reuse the query matcher.
   auto var_name = [](Value v) { return "h" + std::to_string(v.id); };
@@ -126,8 +125,7 @@ std::optional<std::map<Value, Value>> FindInstanceHomomorphism(
       [&found](const Binding& binding) {
         found = binding;
         return false;  // first match suffices
-      },
-      nullptr, matcher);
+      });
   if (!found.has_value()) return std::nullopt;
 
   std::map<Value, Value> hom;

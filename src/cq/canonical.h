@@ -7,7 +7,6 @@
 #include <string>
 
 #include "cq/conjunctive_query.h"
-#include "cq/matcher.h"
 #include "data/instance.h"
 #include "data/value.h"
 
@@ -44,13 +43,11 @@ ConjunctiveQuery InstanceToQuery(const Instance& instance, const Tuple& head,
 /// Finds a homomorphism h from `from` to `to`: a value mapping with
 /// h(fact) ∈ to for every fact ∈ from, extending `fixed` and fixing every
 /// value in `constants`. Returns the full mapping (adom(from) → adom(to))
-/// or nullopt. `matcher` selects the homomorphism engine (DESIGN.md §12);
-/// the default routes through the process default.
+/// or nullopt.
 std::optional<std::map<Value, Value>> FindInstanceHomomorphism(
     const Instance& from, const Instance& to,
     const std::map<Value, Value>& fixed = {},
-    const std::set<Value>& constants = {},
-    const MatcherOptions& matcher = {});
+    const std::set<Value>& constants = {});
 
 }  // namespace vqdr
 

@@ -3,34 +3,26 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "base/check.h"
 #include "cq/canonical.h"
 #include "cq/explain_bridge.h"
+#include "cq/fingerprint.h"
 #include "cq/matcher.h"
 #include "guard/fault.h"
+#include "memo/store.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#ifndef VQDR_PAR_DISABLED
 #include "par/pool.h"
-#endif
-
-#ifndef VQDR_MEMO_DISABLED
-#include <optional>
-#include <string>
-
-#include "cq/fingerprint.h"
-#include "memo/store.h"
-#endif
 
 namespace vqdr {
 
 namespace {
 
-#ifndef VQDR_MEMO_DISABLED
 // Joins two canonical fingerprints into a containment key; nullopt (either
 // side has no fingerprint) means "bypass the cache". Sound because the
 // contained/not-contained verdict is invariant under isomorphism of either
@@ -41,7 +33,6 @@ std::optional<std::string> ContainmentKey(const char* tag,
   if (!k1.has_value() || !k2.has_value()) return std::nullopt;
   return std::string(tag) + "|" + *k1 + "|" + *k2;
 }
-#endif
 
 // Applies a term substitution (variables → terms) to a query.
 ConjunctiveQuery SubstituteTerms(const ConjunctiveQuery& q,
@@ -131,13 +122,11 @@ void RecordMemoProbe(obs::ExplainLog* log, const char* label, bool hit) {
 // does). Skips recording when the budget stopped mid-check, mirroring the
 // governed sweep's "report pass so a stop cannot masquerade as a witness".
 bool ExplainedUcqCheck(obs::ExplainLog* log, const UnionQuery& q2,
-                       const PatternInstance& pattern, guard::Budget* budget,
-                       const MatcherOptions& matcher) {
+                       const PatternInstance& pattern, guard::Budget* budget) {
   for (std::size_t i = 0; i < q2.disjuncts().size(); ++i) {
     Binding witness;
     bool pass = CqAnswerContains(q2.disjuncts()[i], pattern.instance,
-                                 pattern.frozen_head, budget, &witness,
-                                 matcher);
+                                 pattern.frozen_head, budget, &witness);
     if (budget != nullptr && budget->Stopped()) return true;
     if (pass) {
       RecordPatternCheck(log, "ucq.sub", q2.disjuncts()[i], pattern, true,
@@ -285,7 +274,6 @@ SweepOutcome SweepCanonicalDbs(
     return out;
   }
 
-#ifndef VQDR_PAR_DISABLED
   if (threads > 1) {
     const std::size_t batch_size =
         static_cast<std::size_t>(threads) * 16;
@@ -332,9 +320,6 @@ SweepOutcome SweepCanonicalDbs(
     out.all_passed = !witness_found.load(std::memory_order_relaxed);
     return out;
   }
-#else
-  (void)threads;
-#endif
 
   try {
     ForEachIdentificationPattern(
@@ -374,17 +359,6 @@ std::set<Value> UnionConstants(const ConjunctiveQuery& a,
   return constants;
 }
 
-// Maps the options' thread request to an effective worker count: 0 means
-// "ask the machine", and a disabled par subsystem always means serial.
-int ResolveThreads(const CqContainmentOptions& options) {
-#ifdef VQDR_PAR_DISABLED
-  return 1;
-#else
-  if (options.threads == 0) return par::DefaultThreads();
-  return options.threads < 1 ? 1 : options.threads;
-#endif
-}
-
 }  // namespace
 
 bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
@@ -408,23 +382,23 @@ bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
 
     bool need_patterns = n1.UsesDisequality() || n2.UsesDisequality();
     return ForEachCanonicalDb(
-        n1, UnionConstants(n1, n2), need_patterns, ResolveThreads(options),
+        n1, UnionConstants(n1, n2), need_patterns,
+        par::ResolveThreads(options.threads),
         [&](const PatternInstance& pattern) {
           if (obs::Wants(options.explain)) {
             Binding witness;
             bool pass = CqAnswerContains(n2, pattern.instance,
                                          pattern.frozen_head, nullptr,
-                                         &witness, options.matcher);
+                                         &witness);
             RecordPatternCheck(options.explain, "cq.sub", n2, pattern, pass,
                                witness);
             return pass;
           }
           return CqAnswerContains(n2, pattern.instance, pattern.frozen_head,
-                                  nullptr, nullptr, options.matcher);
+                                  nullptr);
         });
   };
 
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.containment");
     std::optional<std::string> key =
@@ -442,7 +416,6 @@ bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
       return contained;
     }
   }
-#endif
   return compute();
 }
 
@@ -500,14 +473,14 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
 
     bool need_patterns = n1.UsesDisequality() || n2.UsesDisequality();
     SweepOutcome sweep = SweepCanonicalDbs(
-        n1, UnionConstants(n1, n2), need_patterns, ResolveThreads(options),
+        n1, UnionConstants(n1, n2), need_patterns,
+        par::ResolveThreads(options.threads),
         budget, [&](const PatternInstance& pattern) {
           bool want_explain = obs::Wants(options.explain);
           Binding witness;
           bool pass = CqAnswerContains(n2, pattern.instance,
                                        pattern.frozen_head, budget,
-                                       want_explain ? &witness : nullptr,
-                                       options.matcher);
+                                       want_explain ? &witness : nullptr);
           // A budget stop mid-match makes the answer meaningless; report
           // "pass" so it cannot masquerade as a witness — the sweep records
           // the stop separately.
@@ -521,7 +494,6 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
     return ResolveSweep(sweep, budget);
   };
 
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.containment");
     std::optional<std::string> key =
@@ -546,7 +518,6 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
       return result;
     }
   }
-#endif
   return compute();
 }
 
@@ -585,14 +556,13 @@ bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
       bool need_patterns = normalized.UsesDisequality() || q2_uses_diseq;
 
       bool contained = ForEachCanonicalDb(
-          normalized, constants, need_patterns, ResolveThreads(options),
+          normalized, constants, need_patterns,
+          par::ResolveThreads(options.threads),
           [&](const PatternInstance& pattern) {
             if (obs::Wants(options.explain)) {
-              return ExplainedUcqCheck(options.explain, q2, pattern, nullptr,
-                                       options.matcher);
+              return ExplainedUcqCheck(options.explain, q2, pattern, nullptr);
             }
-            Relation answer = EvaluateUcq(q2, pattern.instance,
-                                          options.matcher);
+            Relation answer = EvaluateUcq(q2, pattern.instance);
             return answer.Contains(pattern.frozen_head);
           });
       if (!contained) return false;
@@ -600,7 +570,6 @@ bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
     return true;
   };
 
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.containment.ucq");
     std::optional<std::string> key =
@@ -618,7 +587,6 @@ bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
       return contained;
     }
   }
-#endif
   return compute();
 }
 
@@ -660,14 +628,13 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
       bool need_patterns = normalized.UsesDisequality() || q2_uses_diseq;
 
       SweepOutcome sweep = SweepCanonicalDbs(
-          normalized, constants, need_patterns, ResolveThreads(options),
+          normalized, constants, need_patterns,
+          par::ResolveThreads(options.threads),
           budget, [&](const PatternInstance& pattern) {
             if (obs::Wants(options.explain)) {
-              return ExplainedUcqCheck(options.explain, q2, pattern, budget,
-                                       options.matcher);
+              return ExplainedUcqCheck(options.explain, q2, pattern, budget);
             }
-            Relation answer = EvaluateUcq(q2, pattern.instance,
-                                          options.matcher);
+            Relation answer = EvaluateUcq(q2, pattern.instance);
             if (budget != nullptr && budget->Stopped()) return true;
             return answer.Contains(pattern.frozen_head);
           });
@@ -685,7 +652,6 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
     return result;
   };
 
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.containment.ucq");
     std::optional<std::string> key =
@@ -707,7 +673,6 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
       return result;
     }
   }
-#endif
   return compute();
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "cq/conjunctive_query.h"
-#include "cq/matcher.h"
 #include "cq/ucq.h"
 #include "guard/budget.h"
 #include "memo/memo.h"
@@ -36,20 +35,13 @@ struct CqContainmentOptions {
   /// non-containment count: they are definitive). See DESIGN.md §9.
   memo::MemoOptions memo;
 
-  /// Homomorphism-engine selection for every canonical-database check the
-  /// sweep performs (DESIGN.md §12). The default routes through the process
-  /// default engine; the differential battery pins kLegacy vs kIndexed here
-  /// to compare verdicts end to end.
-  MatcherOptions matcher;
-
-  /// Optional decision-provenance sink (DESIGN.md §10). When non-null and
-  /// VQDR_OBS is compiled in, every pattern check appends an event: a
-  /// kWitness with the replayable homomorphism when the pattern passed, a
-  /// kRefutation carrying the canonical database when it failed, plus kMemo
-  /// events for cache probes. Appends are internally synchronized, so
-  /// parallel sweeps share the log safely. The artifact grows with the
-  /// identification-pattern count — attach it to targeted checks, not bulk
-  /// batteries.
+  /// Optional decision-provenance sink (DESIGN.md §10). When non-null,
+  /// every pattern check appends an event: a kWitness with the replayable
+  /// homomorphism when the pattern passed, a kRefutation carrying the
+  /// canonical database when it failed, plus kMemo events for cache probes.
+  /// Appends are internally synchronized, so parallel sweeps share the log
+  /// safely. The artifact grows with the identification-pattern count —
+  /// attach it to targeted checks, not bulk batteries.
   obs::ExplainLog* explain = nullptr;
 };
 

@@ -1,7 +1,5 @@
 #include "cq/matcher.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <string>
 
 #include "base/check.h"
@@ -14,32 +12,6 @@ namespace vqdr {
 namespace {
 
 using matcher_internal::MatchStats;
-
-MatcherEngine ResolveInitialEngine() {
-  if (const char* env = std::getenv("VQDR_MATCHER")) {
-    std::string v(env);
-    if (v == "indexed") return MatcherEngine::kIndexed;
-    if (v == "legacy") {
-      VQDR_CHECK(MatcherLegacyCompiled())
-          << "VQDR_MATCHER=legacy requires a -DVQDR_MATCHER_LEGACY=ON build";
-      return MatcherEngine::kLegacy;
-    }
-    VQDR_CHECK(v.empty()) << "unknown VQDR_MATCHER value: " << v
-                          << " (expected indexed or legacy)";
-  }
-#ifdef VQDR_MATCHER_LEGACY
-  // A legacy build routes the whole suite through the oracle by default, so
-  // the matcher-legacy CI job proves every golden both ways.
-  return MatcherEngine::kLegacy;
-#else
-  return MatcherEngine::kIndexed;
-#endif
-}
-
-std::atomic<MatcherEngine>& DefaultEngineSlot() {
-  static std::atomic<MatcherEngine> slot{ResolveInitialEngine()};
-  return slot;
-}
 
 // Resolves a term under a binding; all variables must be bound.
 Value ResolveTerm(const Term& t, const Binding& binding) {
@@ -71,26 +43,6 @@ bool FiltersPass(const ConjunctiveQuery& q, const Instance& db,
 
 }  // namespace
 
-bool MatcherLegacyCompiled() {
-#ifdef VQDR_MATCHER_LEGACY
-  return true;
-#else
-  return false;
-#endif
-}
-
-MatcherEngine DefaultMatcherEngine() {
-  return DefaultEngineSlot().load(std::memory_order_relaxed);
-}
-
-MatcherEngine SetDefaultMatcherEngine(MatcherEngine engine) {
-  if (engine == MatcherEngine::kDefault) engine = ResolveInitialEngine();
-  VQDR_CHECK(engine != MatcherEngine::kLegacy || MatcherLegacyCompiled())
-      << "legacy matcher requested but not compiled in "
-         "(build with -DVQDR_MATCHER_LEGACY=ON)";
-  return DefaultEngineSlot().exchange(engine, std::memory_order_relaxed);
-}
-
 bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
                   const std::function<bool(const Binding&)>& on_match,
@@ -112,24 +64,10 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
   // With tracing off this is one relaxed load; with it on, the hom matcher
   // shows up as its own node in the span-tree profile.
   VQDR_TRACE_SPAN("cq.match", static_cast<std::int64_t>(atoms.size()));
-  MatcherEngine engine = options.engine == MatcherEngine::kDefault
-                             ? DefaultMatcherEngine()
-                             : options.engine;
   MatchStats stats;
-  bool completed;
-  if (engine == MatcherEngine::kLegacy) {
-#ifdef VQDR_MATCHER_LEGACY
-    completed = matcher_internal::LegacyMatch(atoms, db, initial, on_match,
-                                              stats, budget);
-#else
-    VQDR_CHECK(false) << "legacy matcher requested but not compiled in "
-                         "(build with -DVQDR_MATCHER_LEGACY=ON)";
-    completed = false;
-#endif
-  } else {
-    completed = matcher_internal::IndexedMatch(atoms, db, initial, on_match,
-                                               stats, budget, options);
-  }
+  bool completed = matcher_internal::IndexedMatch(atoms, db, initial,
+                                                  on_match, stats, budget,
+                                                  options);
   VQDR_COUNTER_ADD("cq.hom.attempts", stats.attempts);
   VQDR_COUNTER_ADD("cq.hom.matches", stats.matches);
   if (stats.index_builds) {
@@ -148,11 +86,6 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
 }
 
 Relation EvaluateCq(const ConjunctiveQuery& q, const Instance& db) {
-  return EvaluateCq(q, db, MatcherOptions{});
-}
-
-Relation EvaluateCq(const ConjunctiveQuery& q, const Instance& db,
-                    const MatcherOptions& options) {
   VQDR_COUNTER_INC("cq.eval.calls");
   VQDR_CHECK(q.IsSafe()) << "evaluating unsafe query: " << q.ToString();
   bool satisfiable = true;
@@ -172,39 +105,22 @@ Relation EvaluateCq(const ConjunctiveQuery& q, const Instance& db,
           result.Insert(answer);
         }
         return true;
-      },
-      nullptr, options);
+      });
   return result;
 }
 
 Relation EvaluateUcq(const UnionQuery& q, const Instance& db) {
-  return EvaluateUcq(q, db, MatcherOptions{});
-}
-
-Relation EvaluateUcq(const UnionQuery& q, const Instance& db,
-                     const MatcherOptions& options) {
   VQDR_CHECK(!q.empty()) << "evaluating empty UCQ";
   Relation result(q.head_arity());
   for (const ConjunctiveQuery& disjunct : q.disjuncts()) {
-    result = result.Union(EvaluateCq(disjunct, db, options));
+    result = result.Union(EvaluateCq(disjunct, db));
   }
   return result;
 }
 
 bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
-                      const Tuple& tuple, guard::Budget* budget) {
-  return CqAnswerContains(q, db, tuple, budget, nullptr, MatcherOptions{});
-}
-
-bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
                       const Tuple& tuple, guard::Budget* budget,
                       Binding* witness) {
-  return CqAnswerContains(q, db, tuple, budget, witness, MatcherOptions{});
-}
-
-bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
-                      const Tuple& tuple, guard::Budget* budget,
-                      Binding* witness, const MatcherOptions& options) {
   VQDR_COUNTER_INC("cq.answer_contains.calls");
   VQDR_CHECK_EQ(static_cast<int>(tuple.size()), q.head_arity());
   VQDR_CHECK(q.IsSafe()) << "evaluating unsafe query: " << q.ToString();
@@ -240,7 +156,7 @@ bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
         }
         return true;
       },
-      budget, options);
+      budget);
   return found;
 }
 

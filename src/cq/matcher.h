@@ -16,45 +16,11 @@ namespace vqdr {
 /// A variable assignment (a homomorphism from query variables to dom).
 using Binding = std::map<std::string, Value>;
 
-/// Which homomorphism-search engine ForEachMatch runs (DESIGN.md §12).
-///
-/// Both engines enumerate exactly the same homomorphisms in exactly the
-/// same order — the indexed engine only skips subtrees it can prove contain
-/// no match — so verdicts, witnesses, and first-found enumeration prefixes
-/// are byte-identical between them. The legacy engine is the pre-rewrite
-/// matcher, kept compilable behind -DVQDR_MATCHER_LEGACY=ON as the
-/// differential-testing oracle.
-enum class MatcherEngine {
-  /// Resolve to the process default at call time (build flag, then the
-  /// VQDR_MATCHER environment variable, then SetDefaultMatcherEngine).
-  kDefault,
-  /// Indexed join: per-relation argument-position indexes, bitset candidate
-  /// domains, forward checking, conflict-directed backjumping, and
-  /// WL-color-class symmetry breaking.
-  kIndexed,
-  /// The original naive backtracking matcher (scan every tuple of the
-  /// selected atom's relation at every node). Only callable when compiled
-  /// in (-DVQDR_MATCHER_LEGACY=ON); selecting it otherwise aborts.
-  kLegacy,
-};
-
-/// True if the legacy oracle is compiled into this binary.
-bool MatcherLegacyCompiled();
-
-/// The engine MatcherEngine::kDefault resolves to. Initialised once per
-/// process: VQDR_MATCHER=indexed|legacy when set (and compiled in),
-/// otherwise legacy under -DVQDR_MATCHER_LEGACY=ON builds (so the whole
-/// suite routes through the oracle there), otherwise indexed.
-MatcherEngine DefaultMatcherEngine();
-
-/// Overrides the process default (test seam). Returns the previous default.
-MatcherEngine SetDefaultMatcherEngine(MatcherEngine engine);
-
-/// Per-call knobs for the homomorphism search. The pruning toggles exist
-/// for differential testing and benchmarks; all of them are solution-set-
-/// and order-preserving, so flipping them never changes observable results.
+/// Per-call knobs for the indexed-join homomorphism search (DESIGN.md §12).
+/// The pruning toggles exist for differential testing and benchmarks; all of
+/// them are solution-set- and order-preserving, so flipping them never
+/// changes observable results.
 struct MatcherOptions {
-  MatcherEngine engine = MatcherEngine::kDefault;
   /// Prune a candidate when some unmatched atom's candidate domain becomes
   /// empty under the extended binding.
   bool forward_checking = true;
@@ -85,7 +51,7 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const std::function<bool(const Binding&)>& on_match,
                   guard::Budget* budget = nullptr);
 
-/// Engine-selecting overload; the default-argument form above routes here
+/// Pruning-toggle overload; the default-argument form above routes here
 /// with MatcherOptions{}.
 bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
@@ -95,30 +61,21 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
 /// Q(D) for a safe conjunctive query (handles =, ≠ and safe negation).
 /// Aborts on unsafe queries; unsatisfiable queries evaluate to empty.
 Relation EvaluateCq(const ConjunctiveQuery& q, const Instance& db);
-Relation EvaluateCq(const ConjunctiveQuery& q, const Instance& db,
-                    const MatcherOptions& options);
 
 /// Q(D) for a safe UCQ: union of the disjuncts' answers.
 Relation EvaluateUcq(const UnionQuery& q, const Instance& db);
-Relation EvaluateUcq(const UnionQuery& q, const Instance& db,
-                     const MatcherOptions& options);
 
 /// True iff `tuple` ∈ Q(D). For Boolean queries pass the empty tuple.
 /// With a non-null `budget` that stops mid-match, the return value is
 /// meaningless — check budget->Stopped() before trusting it.
-bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
-                      const Tuple& tuple, guard::Budget* budget = nullptr);
-
-/// Witness-returning variant: on a true return, `*witness` holds the full
+///
+/// With a non-null `witness`, a true return leaves in `*witness` the full
 /// homomorphism (over the variables of q.PropagateEqualities()) that maps
 /// the query into db with head image `tuple` — the certificate the explain
 /// layer records and replays. Untouched on a false return.
 bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
-                      const Tuple& tuple, guard::Budget* budget,
-                      Binding* witness);
-bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
-                      const Tuple& tuple, guard::Budget* budget,
-                      Binding* witness, const MatcherOptions& options);
+                      const Tuple& tuple, guard::Budget* budget = nullptr,
+                      Binding* witness = nullptr);
 
 /// True iff the Boolean query is satisfied (head arity must be 0).
 bool CqHolds(const ConjunctiveQuery& q, const Instance& db);

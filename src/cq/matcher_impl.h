@@ -1,9 +1,9 @@
 #ifndef VQDR_CQ_MATCHER_IMPL_H_
 #define VQDR_CQ_MATCHER_IMPL_H_
 
-// Internal seam between the ForEachMatch dispatcher (matcher.cc) and the two
-// homomorphism-search engines (matcher_indexed.cc, matcher_legacy.cc). Not
-// part of the public API; tests include it only to reach the stats struct.
+// Internal seam between ForEachMatch (matcher.cc) and the indexed-join
+// homomorphism-search engine (matcher_indexed.cc). Not part of the public
+// API; tests include it only to reach the stats struct.
 
 #include <cstdint>
 #include <functional>
@@ -16,8 +16,7 @@ namespace vqdr::matcher_internal {
 // Stack-local tally for one ForEachMatch call, flushed to the obs counters
 // once at the end — keeps atomic traffic out of the recursion entirely.
 struct MatchStats {
-  // Candidate tuples actually tried against an atom (legacy: every tuple of
-  // the selected relation at every node; indexed: the index-intersected
+  // Candidate tuples actually tried against an atom (the index-intersected
   // candidate set only).
   std::uint64_t attempts = 0;
   // Full homomorphisms delivered to on_match.
@@ -37,22 +36,14 @@ struct MatchStats {
 };
 
 // The indexed-join engine (DESIGN.md §12). Enumerates exactly the
-// homomorphisms the legacy engine enumerates, in exactly the same order;
-// returns false iff stopped early (on_match veto or budget stop).
+// homomorphisms the naive backtracking oracle (tests/matcher_oracle.h)
+// enumerates, in exactly the same order; returns false iff stopped early
+// (on_match veto or budget stop).
 bool IndexedMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
                   const std::function<bool(const Binding&)>& on_match,
                   MatchStats& stats, guard::Budget* budget,
                   const MatcherOptions& options);
-
-#ifdef VQDR_MATCHER_LEGACY
-// The pre-rewrite naive backtracking engine, compiled only under
-// -DVQDR_MATCHER_LEGACY=ON as the differential-testing oracle.
-bool LegacyMatch(const std::vector<Atom>& atoms, const Instance& db,
-                 const Binding& initial,
-                 const std::function<bool(const Binding&)>& on_match,
-                 MatchStats& stats, guard::Budget* budget);
-#endif
 
 }  // namespace vqdr::matcher_internal
 

@@ -19,8 +19,9 @@
 // Every pruning rule above eliminates only subtrees that provably contain
 // zero homomorphisms, and atom selection replicates the legacy rule bit for
 // bit, so this engine delivers exactly the legacy engine's on_match sequence
-// — same homomorphisms, same order — which is what keeps verdicts and
-// witnesses byte-identical across the differential battery.
+// — same homomorphisms, same order. The legacy engine lives on as the
+// differential oracle in tests/matcher_oracle.cc, which is what keeps
+// verdicts and witnesses byte-identical across the MATCHER battery.
 
 #include <algorithm>
 #include <cstdint>

@@ -1,23 +1,19 @@
 #include "cq/minimize.h"
 
-#include "base/check.h"
-#include "cq/containment.h"
-
-#ifndef VQDR_MEMO_DISABLED
 #include <memory>
 #include <string>
 
+#include "base/check.h"
+#include "cq/containment.h"
 #include "cq/fingerprint.h"
 #include "cq/serialize.h"
 #include "memo/snapshot.h"
 #include "memo/store.h"
-#endif
 
 namespace vqdr {
 
 namespace {
 
-#ifndef VQDR_MEMO_DISABLED
 // Snapshot codecs for the minimized-query caches (DESIGN.md §14). Bump the
 // tag version if the CQ wire encoding ever changes.
 std::string EncodeCqPayload(const ConjunctiveQuery& q) {
@@ -55,7 +51,6 @@ std::shared_ptr<const UnionQuery> DecodeUcqPayload(std::string_view payload) {
 [[maybe_unused]] const bool kUcqCodecRegistered =
     memo::RegisterSnapshotType<UnionQuery>("ucq.v1", EncodeUcqPayload,
                                            DecodeUcqPayload);
-#endif
 
 // Greedy atom removal. Order-independent up to isomorphism: every
 // equivalence-preserving removal sequence terminates in a core of q, and
@@ -91,7 +86,6 @@ ConjunctiveQuery MinimizeCqImpl(const ConjunctiveQuery& q) {
 
 ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& q) {
   VQDR_CHECK(q.IsPureCq()) << "MinimizeCq requires a pure CQ";
-#ifndef VQDR_MEMO_DISABLED
   if (memo::Enabled()) {
     // Exact key, not the canonical fingerprint: the minimized query keeps
     // q's concrete variable names and atom order, so isomorphic-but-distinct
@@ -105,7 +99,6 @@ ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& q) {
     store.Put(key, core);
     return core;
   }
-#endif
   return MinimizeCqImpl(q);
 }
 
@@ -141,7 +134,6 @@ UnionQuery MinimizeUcqImpl(const UnionQuery& q) {
 
 UnionQuery MinimizeUcq(const UnionQuery& q) {
   VQDR_CHECK(q.IsPureUcq()) << "MinimizeUcq requires a pure UCQ";
-#ifndef VQDR_MEMO_DISABLED
   if (memo::Enabled()) {
     std::string key = "ucq.min|" + ExactUcqKey(q);
     memo::Store& store = memo::GlobalStore();
@@ -150,7 +142,6 @@ UnionQuery MinimizeUcq(const UnionQuery& q) {
     store.Put(key, minimized);
     return minimized;
   }
-#endif
   return MinimizeUcqImpl(q);
 }
 

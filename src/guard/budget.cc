@@ -1,7 +1,5 @@
 #include "guard/budget.h"
 
-#ifndef VQDR_GUARD_DISABLED
-
 #include <thread>
 
 #include "guard/fault.h"
@@ -59,14 +57,12 @@ Outcome Budget::Checkpoint(std::uint64_t steps) {
     return Trip(Outcome::kStepBudgetExhausted);
   }
 
-#ifndef VQDR_GUARD_FAULTS_DISABLED
   if (CancelFaultDue(used)) return Trip(Outcome::kCancelled);
   // A stall fault sleeps this thread once, right here, and changes nothing
   // else — the injected hang the watchdog tests detect.
   if (std::uint64_t stall_ms = StallFaultDue(used); stall_ms != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
   }
-#endif
 
   if (has_deadline_) {
     // Amortized deadline check: decrement a shared countdown and read the
@@ -108,5 +104,3 @@ Outcome Budget::NoteAtoms(std::uint64_t atoms) {
 }
 
 }  // namespace vqdr::guard
-
-#endif  // VQDR_GUARD_DISABLED

@@ -31,10 +31,6 @@
 // whichever budget trips first stops the work — and a parent's sticky stop
 // propagates into the child at its next checkpoint (the reverse never
 // happens: one exhausted child does not stop its siblings).
-//
-// Under -DVQDR_GUARD=OFF (VQDR_GUARD_DISABLED) the class collapses to an
-// inline always-kComplete stub: the engine signatures keep compiling, the
-// checkpoints cost nothing, and budgets are documented as ignored.
 
 namespace vqdr::guard {
 
@@ -67,8 +63,6 @@ struct BudgetSpec {
   /// Maximum chase-chain levels to build. < 0 = unlimited.
   int max_chase_levels = -1;
 };
-
-#ifndef VQDR_GUARD_DISABLED
 
 /// Installs (or, with nullptr, removes) the process-wide checkpoint
 /// observer. Not for per-call use: the slot is a single atomic pointer.
@@ -148,42 +142,6 @@ class Budget {
   std::atomic<std::uint64_t> until_clock_check_{kClockStride};
   std::atomic<int> stop_{0};
 };
-
-#else  // VQDR_GUARD_DISABLED
-
-inline void SetCheckpointObserver(CheckpointObserver) {}
-
-/// Stub: governance compiled out. Budgets are accepted and ignored.
-class Budget {
- public:
-  Budget() = default;
-  explicit Budget(const BudgetSpec& spec, Budget* parent = nullptr)
-      : spec_(spec) {
-    (void)parent;
-  }
-
-  Budget(const Budget&) = delete;
-  Budget& operator=(const Budget&) = delete;
-
-  Outcome Checkpoint(std::uint64_t = 1) { return Outcome::kComplete; }
-  Outcome NoteAtoms(std::uint64_t) { return Outcome::kComplete; }
-  void Cancel() {}
-  void MarkInternalError() {}
-  bool Stopped() const { return false; }
-  Outcome stop_reason() const { return Outcome::kComplete; }
-  std::uint64_t steps_used() const { return 0; }
-  std::uint64_t atoms_used() const { return 0; }
-  bool AllowsChaseLevel(int) const { return true; }
-  const BudgetSpec& spec() const { return spec_; }
-  Budget* parent() const { return nullptr; }
-
-  static constexpr std::uint64_t kClockStride = 64;
-
- private:
-  BudgetSpec spec_;
-};
-
-#endif  // VQDR_GUARD_DISABLED
 
 /// Null-tolerant checkpoint for engine hot paths: no budget, no cost beyond
 /// the null test.

@@ -21,10 +21,6 @@
 //     gate consults before a request ever reaches the dispatch queue;
 //   * a backpressure hint — the retry_after_ms a structured `overloaded`
 //     rejection carries back to the client.
-//
-// Classes are pure accounting and compile in regardless of -DVQDR_GUARD:
-// with governance off the caps are ignored downstream (Budget is a stub) but
-// admission slots still bound concurrency.
 
 namespace vqdr::guard {
 

@@ -1,7 +1,5 @@
 #include "guard/fault.h"
 
-#ifndef VQDR_GUARD_FAULTS_DISABLED
-
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -105,5 +103,3 @@ std::uint64_t StallFaultDue(std::uint64_t steps_reached) {
 }
 
 }  // namespace vqdr::guard
-
-#endif  // VQDR_GUARD_FAULTS_DISABLED

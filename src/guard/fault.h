@@ -17,10 +17,6 @@
 // Arm/Disarm must not race live engine calls: arm before the call under
 // test, disarm after it returns (the probes themselves are thread-safe and
 // run concurrently inside parallel engines).
-//
-// The whole seam compiles out under -DVQDR_GUARD_FAULTS=OFF
-// (VQDR_GUARD_FAULTS_DISABLED): fault points become ((void)0) and the
-// control functions become inline no-ops.
 
 namespace vqdr::guard {
 
@@ -52,8 +48,6 @@ class InjectedTaskError : public std::runtime_error {
  public:
   InjectedTaskError() : std::runtime_error("vqdr::guard injected task error") {}
 };
-
-#ifndef VQDR_GUARD_FAULTS_DISABLED
 
 /// Arms one fault (replacing any previous one). `site` filters which fault
 /// points count probes; nullptr or "" matches every site of the kind.
@@ -90,32 +84,13 @@ void ArmStallFault(std::uint64_t at_step, std::uint64_t sleep_ms);
 /// checkpoint is the one that stalls (exactly once), else 0.
 std::uint64_t StallFaultDue(std::uint64_t steps_reached);
 
-#else  // VQDR_GUARD_FAULTS_DISABLED
-
-inline void ArmFault(FaultKind, const char*, std::uint64_t) {}
-inline void DisarmFaults() {}
-inline bool FaultsArmed() { return false; }
-inline std::uint64_t FaultProbes() { return 0; }
-inline bool FaultFired() { return false; }
-inline void MaybeInjectThrow(FaultKind, const char*) {}
-inline bool CancelFaultDue(std::uint64_t) { return false; }
-inline void ArmStallFault(std::uint64_t, std::uint64_t) {}
-inline std::uint64_t StallFaultDue(std::uint64_t) { return 0; }
-
-#endif  // VQDR_GUARD_FAULTS_DISABLED
-
 }  // namespace vqdr::guard
 
 // Fault points on the engine hot paths. Site names are stable identifiers
 // ("search.instances", "chase.view_inverse", "cq.pattern", "pool.task").
-#ifndef VQDR_GUARD_FAULTS_DISABLED
 #define VQDR_FAULT_ALLOC(site) \
   ::vqdr::guard::MaybeInjectThrow(::vqdr::guard::FaultKind::kAllocFailure, site)
 #define VQDR_FAULT_TASK(site) \
   ::vqdr::guard::MaybeInjectThrow(::vqdr::guard::FaultKind::kTaskThrow, site)
-#else
-#define VQDR_FAULT_ALLOC(site) ((void)0)
-#define VQDR_FAULT_TASK(site) ((void)0)
-#endif
 
 #endif  // VQDR_GUARD_FAULT_H_

@@ -4,16 +4,11 @@
 /// vqdr::memo — result caching for the containment / chase / determinacy
 /// engines (DESIGN.md §9).
 ///
-/// This header is always safe to include. When the subsystem is compiled out
-/// (-DVQDR_MEMO=OFF defines VQDR_MEMO_DISABLED, mirroring obs/par/guard) the
-/// API collapses to inline no-ops: Enabled() is false, ResolveUse() is false,
-/// GlobalStats() is empty, and callers never touch a Store.
-///
-/// Memoization is opt-in at runtime even when compiled in: the process-wide
-/// switch starts from the VQDR_MEMO environment variable (off unless set to a
-/// truthy value) and individual calls can force it on or off through
-/// MemoOptions. This keeps cold-path behaviour — including obs counters that
-/// tests pin exactly — untouched by default.
+/// Memoization is opt-in at runtime: the process-wide switch starts from the
+/// VQDR_MEMO environment variable (off unless set to a truthy value) and
+/// individual calls can force it on or off through MemoOptions. This keeps
+/// cold-path behaviour — including obs counters that tests pin exactly —
+/// untouched by default.
 
 #include <cstdint>
 #include <sstream>
@@ -49,8 +44,7 @@ struct StatsSnapshot {
   bool any() const { return hits + misses + installs + evictions > 0; }
 
   /// Activity since `before`: monotone fields subtract, entries/capacity keep
-  /// the current (end-of-window) values. Inline so the disabled build links
-  /// without the memo library.
+  /// the current (end-of-window) values.
   StatsSnapshot Delta(const StatsSnapshot& before) const {
     StatsSnapshot d;
     d.hits = hits - before.hits;
@@ -100,8 +94,6 @@ struct SnapshotActivity {
   }
 };
 
-#ifndef VQDR_MEMO_DISABLED
-
 /// Process-wide switch; initialized from the VQDR_MEMO environment variable.
 bool Enabled();
 void SetEnabled(bool on);
@@ -133,23 +125,6 @@ class ScopedEnable {
  private:
   bool previous_;
 };
-
-#else  // VQDR_MEMO_DISABLED
-
-inline bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-inline bool ResolveUse(const MemoOptions&) { return false; }
-inline StatsSnapshot GlobalStats() { return {}; }
-inline SnapshotActivity GlobalSnapshotActivity() { return {}; }
-
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool) {}
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-};
-
-#endif  // VQDR_MEMO_DISABLED
 
 }  // namespace vqdr::memo
 

@@ -49,7 +49,7 @@ Registry& GlobalRegistry() {
 }
 
 // Monotone process-wide activity, mirrored into obs counters. Plain atomics
-// so the [memo] report line works even with VQDR_OBS compiled out.
+// read back by GlobalSnapshotActivity() for the [memo] report line.
 struct Activity {
   std::atomic<std::uint64_t> loads{0};
   std::atomic<std::uint64_t> loaded_entries{0};

@@ -1,11 +1,6 @@
 #ifndef VQDR_MEMO_SNAPSHOT_H_
 #define VQDR_MEMO_SNAPSHOT_H_
 
-#ifdef VQDR_MEMO_DISABLED
-#error "memo/snapshot.h must not be included when VQDR_MEMO is OFF; \
-include memo/memo.h and guard call sites with #ifndef VQDR_MEMO_DISABLED."
-#endif
-
 #include <condition_variable>
 #include <cstdint>
 #include <functional>

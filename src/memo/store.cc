@@ -1,13 +1,13 @@
 #include "memo/store.h"
 
 #include <atomic>
-#include <cerrno>
-#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <sstream>
 
 #include "base/check.h"
+#include "base/env.h"
 #include "memo/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
@@ -40,15 +40,7 @@ std::atomic<bool>& EnabledFlag() {
 }  // namespace
 
 std::size_t ParseCapacityEnvValue(const char* raw) {
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (errno == ERANGE || end == raw || *end != '\0') return 0;
-  // A negative input wraps modulo 2^64 and "parses"; reject it like the
-  // overflow case. SIZE_MAX guards 32-bit size_t against a 64-bit parse.
-  if (*raw == '-' || parsed > SIZE_MAX) return 0;
-  return static_cast<std::size_t>(parsed);
+  return static_cast<std::size_t>(ParseEnvUint(raw, SIZE_MAX).value_or(0));
 }
 
 Store::Store(std::size_t capacity, std::size_t shards)

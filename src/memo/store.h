@@ -1,11 +1,6 @@
 #ifndef VQDR_MEMO_STORE_H_
 #define VQDR_MEMO_STORE_H_
 
-#ifdef VQDR_MEMO_DISABLED
-#error "memo/store.h must not be included when VQDR_MEMO is OFF; \
-include memo/memo.h and guard call sites with #ifndef VQDR_MEMO_DISABLED."
-#endif
-
 #include <atomic>
 #include <cstddef>
 #include <list>
@@ -124,10 +119,10 @@ class Store {
   std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// Parses a VQDR_MEMO_CAPACITY-style value. Returns 0 for anything invalid —
-/// empty, trailing garbage, zero, or an out-of-range magnitude (strtoull
-/// clamps overflow to ULLONG_MAX with ERANGE; accepting that would make the
-/// store effectively unbounded). Exposed for the regression tests.
+/// Parses a VQDR_MEMO_CAPACITY value through ParseEnvUint (base/env.h).
+/// Returns 0 for anything invalid — empty, a sign, trailing garbage, zero,
+/// or a magnitude past SIZE_MAX (accepting strtoull's overflow clamp would
+/// make the store effectively unbounded). Exposed for the regression tests.
 std::size_t ParseCapacityEnvValue(const char* raw);
 
 }  // namespace vqdr::memo

@@ -1,7 +1,5 @@
 #include "obs/context.h"
 
-#ifndef VQDR_OBS_DISABLED
-
 #include "guard/budget.h"
 #include "obs/log.h"
 #include "obs/registry.h"
@@ -109,5 +107,3 @@ OpTaskScope::~OpTaskScope() {
 }
 
 }  // namespace vqdr::obs
-
-#endif  // VQDR_OBS_DISABLED

@@ -28,8 +28,6 @@
 // captures CurrentOpHandle() and runs the task under an OpTaskScope, so
 // work-stolen shards attribute to the operation that spawned them, not to
 // whichever worker happened to run them.
-//
-// Everything here compiles to empty inline stubs under -DVQDR_OBS=OFF.
 
 namespace vqdr::guard {
 class Budget;
@@ -81,8 +79,6 @@ inline const char* OpKindName(OpKind kind) {
 /// Maximum live span-stack depth recorded per thread (deeper spans still
 /// trace/profile normally; only the live stack view truncates).
 inline constexpr int kThreadStackDepth = 16;
-
-#ifndef VQDR_OBS_DISABLED
 
 namespace internal {
 
@@ -212,36 +208,6 @@ class OpTaskScope {
   std::shared_ptr<internal::OpSlot> slot_;
   internal::OpSlot* prev_ = nullptr;
 };
-
-#else  // VQDR_OBS_DISABLED
-
-inline OpId CurrentOpId() { return 0; }
-inline void OpHeartbeat(std::uint64_t = 1) {}
-
-class OpScope {
- public:
-  OpScope(OpKind, const char*, vqdr::guard::Budget* = nullptr) {}
-  OpScope(OpKind, std::string, vqdr::guard::Budget* = nullptr) {}
-  OpScope(const OpScope&) = delete;
-  OpScope& operator=(const OpScope&) = delete;
-  OpId id() const { return 0; }
-};
-
-class OpHandle {
- public:
-  explicit operator bool() const { return false; }
-};
-
-inline OpHandle CurrentOpHandle() { return OpHandle{}; }
-
-class OpTaskScope {
- public:
-  explicit OpTaskScope(const OpHandle&) {}
-  OpTaskScope(const OpTaskScope&) = delete;
-  OpTaskScope& operator=(const OpTaskScope&) = delete;
-};
-
-#endif  // VQDR_OBS_DISABLED
 
 }  // namespace vqdr::obs
 

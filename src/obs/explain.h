@@ -25,19 +25,8 @@
 // Layering: obs sits below cq/data, so payloads here are generic —
 // relations are strings, values are the int64 ids of data::Value. The
 // cq-side conversion lives in cq/explain_bridge.h.
-//
-// Under -DVQDR_OBS=OFF the type stays real (pure serialization still
-// works; reports keep their field) but kExplainEnabled is false and every
-// engine recording site is guarded by obs::Wants(log), so provenance
-// capture compiles out of the hot paths.
 
 namespace vqdr::obs {
-
-#ifdef VQDR_OBS_DISABLED
-inline constexpr bool kExplainEnabled = false;
-#else
-inline constexpr bool kExplainEnabled = true;
-#endif
 
 /// One ground fact of a recorded instance: relation name + value ids.
 struct ExplainFact {
@@ -167,12 +156,9 @@ class ExplainLog {
   std::vector<ExplainEvent> events_;
 };
 
-/// True when provenance capture is compiled in AND a log is attached.
-/// Recording sites guard with `if (obs::Wants(log)) {...}` so the whole
-/// branch folds away under -DVQDR_OBS=OFF.
-inline bool Wants(const ExplainLog* log) {
-  return kExplainEnabled && log != nullptr;
-}
+/// True when a log is attached. Recording sites guard with
+/// `if (obs::Wants(log)) {...}` so unexplained calls pay one null test.
+inline bool Wants(const ExplainLog* log) { return log != nullptr; }
 
 }  // namespace vqdr::obs
 

@@ -1,16 +1,17 @@
 #include "obs/log.h"
 
-#ifndef VQDR_OBS_DISABLED
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 
+#include "base/env.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -120,13 +121,10 @@ void InitLogFromEnv() {
         path != nullptr && path[0] != '\0') {
       SetLogFilePath(path);
     }
-    if (const char* rate = std::getenv("VQDR_LOG_RATE");
-        rate != nullptr && rate[0] != '\0') {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(rate, &end, 10);
-      if (end != nullptr && *end == '\0') {
-        SetLogRateLimit(static_cast<std::uint64_t>(n));
-      }
+    if (std::optional<std::uint64_t> rate = ParseEnvUint(
+            std::getenv("VQDR_LOG_RATE"),
+            std::numeric_limits<std::uint64_t>::max())) {
+      SetLogRateLimit(*rate);
     }
     return true;
   }();
@@ -239,5 +237,3 @@ LogRecord::~LogRecord() {
 }
 
 }  // namespace vqdr::obs
-
-#endif  // VQDR_OBS_DISABLED

@@ -24,8 +24,6 @@
 // token bucket (VQDR_LOG_RATE records/second, default 1000) sheds load
 // under log storms; the first record admitted after a gap reports how many
 // were dropped.
-//
-// Compiled to inert stubs under -DVQDR_OBS=OFF.
 
 namespace vqdr::obs {
 
@@ -55,8 +53,6 @@ inline const char* LogLevelName(LogLevel level) {
   return "off";
 }
 
-#ifndef VQDR_OBS_DISABLED
-
 /// Minimum level that emits; kOff disables logging entirely.
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
@@ -82,8 +78,9 @@ void SetLogRateLimit(std::uint64_t per_second);
 std::uint64_t LogDroppedCount();
 
 /// Reads VQDR_LOG (level), VQDR_LOG_FILE (sink path), and VQDR_LOG_RATE
-/// (records/second) once. Called lazily from the first record and from the
-/// first OpScope; exposed for tools.
+/// (records/second; a value ParseEnvUint rejects keeps the default) once.
+/// Called lazily from the first record and from the first OpScope; exposed
+/// for tools.
 void InitLogFromEnv();
 
 /// One structured record, emitted on destruction. Field setters return
@@ -114,31 +111,6 @@ class LogRecord {
   LogLevel level_ = LogLevel::kOff;
   std::string line_;
 };
-
-#else  // VQDR_OBS_DISABLED
-
-inline void SetLogLevel(LogLevel) {}
-inline LogLevel GetLogLevel() { return LogLevel::kOff; }
-inline bool LogEnabled(LogLevel) { return false; }
-inline bool SetLogFilePath(const std::string&) { return false; }
-inline void CloseLogFile() {}
-inline void SetLogCapture(std::function<void(const std::string&)>) {}
-inline void SetLogRateLimit(std::uint64_t) {}
-inline std::uint64_t LogDroppedCount() { return 0; }
-inline void InitLogFromEnv() {}
-
-class LogRecord {
- public:
-  LogRecord(LogLevel, std::string_view) {}
-  LogRecord& Str(std::string_view, std::string_view) { return *this; }
-  LogRecord& Num(std::string_view, std::int64_t) { return *this; }
-  LogRecord& Num(std::string_view, std::uint64_t) { return *this; }
-  LogRecord& Num(std::string_view, int) { return *this; }
-  LogRecord& Num(std::string_view, unsigned) { return *this; }
-  LogRecord& Bool(std::string_view, bool) { return *this; }
-};
-
-#endif  // VQDR_OBS_DISABLED
 
 }  // namespace vqdr::obs
 

@@ -21,9 +21,7 @@
 //   rewrite.*     rewriting synthesis and the LMSS-style reference rewriter
 //
 // Hot paths report through the VQDR_COUNTER_* / VQDR_HISTOGRAM_RECORD macros
-// (see obs/obs_macros.h), which compile to nothing under VQDR_OBS_DISABLED.
-// Code whose *results* depend on a tally (e.g. instances_examined fields)
-// uses the GetCounter API directly so the numbers survive a disabled build.
+// (see obs/obs_macros.h), which cache the registry entry per call site.
 
 namespace vqdr::obs {
 

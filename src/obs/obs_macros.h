@@ -1,40 +1,16 @@
-// The macro seam of the observability layer. Deliberately NOT include-guarded:
-// every inclusion first #undefs and then redefines the macros according to the
-// current setting of VQDR_OBS_DISABLED, so a translation unit (typically a
-// test) can flip the seam mid-file:
-//
-//   #define VQDR_OBS_DISABLED
-//   #include "obs/obs_macros.h"   // macros are now no-ops
-//   ...
-//   #undef VQDR_OBS_DISABLED
-//   #include "obs/obs_macros.h"   // macros are live again
-//
-// With VQDR_OBS_DISABLED defined the macros expand to ((void)0): no atomic
-// traffic, no registry lookup, no clock reads — the zero-overhead escape
-// hatch for builds that want the solver stack uninstrumented.
-//
-// The enabled expansions cache a registry reference in a function-local
-// static, so each call site pays one registry lookup ever and one relaxed
-// atomic add per hit.
+#ifndef VQDR_OBS_OBS_MACROS_H_
+#define VQDR_OBS_OBS_MACROS_H_
 
-#undef VQDR_COUNTER_INC
-#undef VQDR_COUNTER_ADD
-#undef VQDR_HISTOGRAM_RECORD
-#undef VQDR_TRACE_SPAN
-#undef VQDR_OBS_CONCAT_INNER
-#undef VQDR_OBS_CONCAT
+// The hot-path macros of the observability layer. Counter and histogram
+// expansions need obs/metrics.h, span expansions obs/trace.h; both headers
+// pull this one in.
+//
+// The expansions cache a registry reference in a function-local static, so
+// each call site pays one registry lookup ever and one relaxed atomic add
+// per hit.
 
 #define VQDR_OBS_CONCAT_INNER(a, b) a##b
 #define VQDR_OBS_CONCAT(a, b) VQDR_OBS_CONCAT_INNER(a, b)
-
-#if defined(VQDR_OBS_DISABLED)
-
-#define VQDR_COUNTER_INC(name) ((void)0)
-#define VQDR_COUNTER_ADD(name, n) ((void)0)
-#define VQDR_HISTOGRAM_RECORD(name, value) ((void)0)
-#define VQDR_TRACE_SPAN(...) ((void)0)
-
-#else
 
 #define VQDR_COUNTER_INC(name) VQDR_COUNTER_ADD(name, 1)
 
@@ -57,4 +33,4 @@
 #define VQDR_TRACE_SPAN(...) \
   ::vqdr::obs::TraceSpan VQDR_OBS_CONCAT(vqdr_trace_span_, __LINE__)(__VA_ARGS__)
 
-#endif  // VQDR_OBS_DISABLED
+#endif  // VQDR_OBS_OBS_MACROS_H_

@@ -1,7 +1,5 @@
 #include "obs/registry.h"
 
-#ifndef VQDR_OBS_DISABLED
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -9,8 +7,10 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 
+#include "base/env.h"
 #include "guard/budget.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -404,7 +404,7 @@ std::string RenderOpsText(const std::vector<OpSnapshot>& ops) {
 }
 
 bool StartOpsDump(std::uint64_t interval_ms) {
-  if (interval_ms == 0) return false;
+  if (interval_ms == 0 || interval_ms > kMaxWaitMs) return false;
   DumpState& d = DumpState::Get();
   std::lock_guard<std::mutex> lock(d.mu);
   if (d.running) return false;
@@ -441,19 +441,12 @@ void StopOpsDump() {
 
 void InitOpsDumpFromEnv() {
   static const bool initialized = [] {
-    const char* env = std::getenv("VQDR_OPS_DUMP_MS");
-    if (env != nullptr && env[0] != '\0') {
-      char* end = nullptr;
-      unsigned long long ms = std::strtoull(env, &end, 10);
-      if (end != nullptr && *end == '\0' && ms > 0) {
-        StartOpsDump(static_cast<std::uint64_t>(ms));
-      }
-    }
+    std::optional<std::uint64_t> ms =
+        ParseEnvUint(std::getenv("VQDR_OPS_DUMP_MS"), kMaxWaitMs);
+    if (ms.has_value() && *ms > 0) StartOpsDump(*ms);
     return true;
   }();
   (void)initialized;
 }
 
 }  // namespace vqdr::obs
-
-#endif  // VQDR_OBS_DISABLED

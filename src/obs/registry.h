@@ -19,8 +19,6 @@
 //   - determinacy_tool --ops       renders the table after each scenario
 //   - VQDR_OPS_DUMP_MS=<n>         background thread dumps JSON to stderr
 //   - obs::Watchdog                embeds a snapshot in stall reports
-//
-// Compiled out with the rest of the obs layer under -DVQDR_OBS=OFF.
 
 namespace vqdr::obs {
 
@@ -56,8 +54,6 @@ struct ThreadStackSnapshot {
   std::vector<std::string> spans;  // outermost first
 };
 
-#ifndef VQDR_OBS_DISABLED
-
 /// All in-flight operations, ordered by id (registration order).
 std::vector<OpSnapshot> SnapshotOps();
 
@@ -89,14 +85,16 @@ std::string RenderOpsText(const std::vector<OpSnapshot>& ops);
 
 /// Starts (idempotently) a background thread that writes an ops snapshot as
 /// one JSON line to stderr every `interval_ms`. Returns false when a dumper
-/// is already running or interval_ms is 0.
+/// is already running, or when interval_ms is 0 or exceeds kMaxWaitMs
+/// (base/env.h).
 bool StartOpsDump(std::uint64_t interval_ms);
 
 /// Stops the periodic dumper if one is running.
 void StopOpsDump();
 
 /// Reads VQDR_OPS_DUMP_MS and starts the dumper when it names a positive
-/// integer. Called once from the first OpScope; exposed for tools/tests.
+/// integer no larger than kMaxWaitMs (parsed by ParseEnvUint, base/env.h).
+/// Called once from the first OpScope; exposed for tools/tests.
 void InitOpsDumpFromEnv();
 
 /// Microseconds since the telemetry epoch (process-stable monotonic base).
@@ -114,27 +112,6 @@ void UnregisterOp(const std::shared_ptr<OpSlot>& op);
 /// Appends one op as a JSON object (shared with the watchdog's reports).
 void AppendOpJson(const OpSnapshot& op, std::string* out);
 }  // namespace internal
-
-#else  // VQDR_OBS_DISABLED
-
-inline std::vector<OpSnapshot> SnapshotOps() { return {}; }
-inline OpSnapshot SnapshotOp(OpId) { return {}; }
-inline std::vector<ThreadStackSnapshot> SnapshotThreadStacks() { return {}; }
-inline void SetKeepCompletedOps(std::size_t) {}
-inline std::vector<OpSnapshot> RecentCompletedOps() { return {}; }
-inline std::string OpsToJson(const std::vector<OpSnapshot>&,
-                             std::uint64_t = 0) {
-  return "[]";
-}
-inline std::string RenderOpsText(const std::vector<OpSnapshot>&) {
-  return "ops: (observability disabled)\n";
-}
-inline bool StartOpsDump(std::uint64_t) { return false; }
-inline void StopOpsDump() {}
-inline void InitOpsDumpFromEnv() {}
-inline std::uint64_t TelemetryNowUs() { return 0; }
-
-#endif  // VQDR_OBS_DISABLED
 
 }  // namespace vqdr::obs
 

@@ -142,7 +142,6 @@ TraceSpan::TraceSpan(const char* name, std::int64_t arg)
 // stall reports must show phases on untraced production runs. With no op
 // bound the cost is one thread-local load.
 void TraceSpan::LiveBegin() {
-#ifndef VQDR_OBS_DISABLED
   internal::OpSlot* op = internal::t_current_op;
   if (op == nullptr) return;
   live_ = true;
@@ -153,11 +152,9 @@ void TraceSpan::LiveBegin() {
   }
   slot->depth.store(d + 1, std::memory_order_release);
   op->phase.store(name_, std::memory_order_relaxed);
-#endif
 }
 
 void TraceSpan::LiveEnd() {
-#ifndef VQDR_OBS_DISABLED
   internal::ThreadSlot* slot = internal::EnsureThreadSlot();
   int d = slot->depth.load(std::memory_order_relaxed) - 1;
   if (d < 0) d = 0;
@@ -173,7 +170,6 @@ void TraceSpan::LiveEnd() {
   }
   op->phase.store(parent != nullptr ? parent : op->label,
                   std::memory_order_relaxed);
-#endif
 }
 
 void TraceSpan::Begin() {

@@ -1,7 +1,5 @@
 #include "obs/watchdog.h"
 
-#ifndef VQDR_OBS_DISABLED
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -10,8 +8,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
+#include "base/env.h"
 #include "obs/metrics.h"
 
 namespace vqdr::obs {
@@ -177,7 +177,9 @@ std::string StallReport::ToJson() const {
 }
 
 bool StartWatchdog(std::uint64_t stall_ms, std::uint64_t poll_ms) {
-  if (stall_ms == 0) return false;
+  if (stall_ms == 0 || stall_ms > kMaxWaitMs || poll_ms > kMaxWaitMs) {
+    return false;
+  }
   if (poll_ms == 0) {
     poll_ms = stall_ms / 4;
     if (poll_ms < 10) poll_ms = 10;
@@ -229,19 +231,12 @@ std::uint64_t WatchdogStallReports() {
 
 void InitWatchdogFromEnv() {
   static const bool initialized = [] {
-    const char* env = std::getenv("VQDR_WATCHDOG_MS");
-    if (env != nullptr && env[0] != '\0') {
-      char* end = nullptr;
-      unsigned long long ms = std::strtoull(env, &end, 10);
-      if (end != nullptr && *end == '\0' && ms > 0) {
-        StartWatchdog(static_cast<std::uint64_t>(ms));
-      }
-    }
+    std::optional<std::uint64_t> ms =
+        ParseEnvUint(std::getenv("VQDR_WATCHDOG_MS"), kMaxWaitMs);
+    if (ms.has_value() && *ms > 0) StartWatchdog(*ms);
     return true;
   }();
   (void)initialized;
 }
 
 }  // namespace vqdr::obs
-
-#endif  // VQDR_OBS_DISABLED

@@ -20,8 +20,6 @@
 // resumes, the trigger re-arms.
 //
 //   VQDR_WATCHDOG_MS=2000 ./determinacy_tool ...   # report 2s stalls
-//
-// Compiled out (inline no-op stubs) under -DVQDR_OBS=OFF.
 
 namespace vqdr::obs {
 
@@ -45,12 +43,11 @@ struct StallReport {
   std::string ToJson() const;
 };
 
-#ifndef VQDR_OBS_DISABLED
-
-/// Starts the watchdog (idempotent; false if already running or stall_ms is
-/// 0). `poll_ms` is the sampling period; 0 picks stall_ms/4, clamped to
-/// [10ms, 1s]. Reports go to the stall callback when one is set, otherwise
-/// to stderr as one JSON line.
+/// Starts the watchdog (idempotent; false if already running, if stall_ms
+/// is 0, or if either period exceeds kMaxWaitMs from base/env.h). `poll_ms`
+/// is the sampling period; 0 picks stall_ms/4, clamped to [10ms, 1s].
+/// Reports go to the stall callback when one is set, otherwise to stderr as
+/// one JSON line.
 bool StartWatchdog(std::uint64_t stall_ms, std::uint64_t poll_ms = 0);
 
 /// Stops and joins the watchdog thread if running.
@@ -66,21 +63,9 @@ void SetStallCallback(std::function<void(const StallReport&)> callback);
 std::uint64_t WatchdogStallReports();
 
 /// Reads VQDR_WATCHDOG_MS and starts the watchdog when it names a positive
-/// integer. Called once from the first OpScope; exposed for tools/tests.
+/// integer no larger than kMaxWaitMs (parsed by ParseEnvUint, base/env.h).
+/// Called once from the first OpScope; exposed for tools/tests.
 void InitWatchdogFromEnv();
-
-#else  // VQDR_OBS_DISABLED
-
-inline bool StartWatchdog(std::uint64_t, std::uint64_t = 0) { return false; }
-inline void StopWatchdog() {}
-inline bool WatchdogRunning() { return false; }
-inline void SetStallCallback(std::function<void(const StallReport&)>) {}
-inline std::uint64_t WatchdogStallReports() { return 0; }
-inline void InitWatchdogFromEnv() {}
-
-inline std::string StallReport::ToJson() const { return "{}"; }
-
-#endif  // VQDR_OBS_DISABLED
 
 }  // namespace vqdr::obs
 

@@ -1,9 +1,12 @@
 #include "par/pool.h"
 
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
+#include "base/env.h"
 #include "guard/fault.h"
 #include "obs/context.h"
 
@@ -23,13 +26,16 @@ thread_local WorkerIdentity t_worker;
 }  // namespace
 
 int DefaultThreads() {
-  if (const char* env = std::getenv("VQDR_THREADS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<int>(v);
-  }
+  std::optional<std::uint64_t> env = ParseEnvUint(
+      std::getenv("VQDR_THREADS"), std::numeric_limits<int>::max());
+  if (env.has_value() && *env > 0) return static_cast<int>(*env);
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+int ResolveThreads(int requested) {
+  if (requested == 0) return DefaultThreads();
+  return requested < 1 ? 1 : requested;
 }
 
 ThreadPool::ThreadPool(int threads) {
@@ -54,7 +60,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-#ifndef VQDR_OBS_DISABLED
   // Carry the submitter's operation context across the task boundary, so a
   // work-stolen chunk's spans, counters, heartbeats, and guard outcomes
   // attribute to the op that spawned it — not to the worker's previous op.
@@ -64,7 +69,6 @@ void ThreadPool::Submit(std::function<void()> task) {
       inner();
     };
   }
-#endif
   int target;
   if (t_worker.pool == this) {
     target = t_worker.index;  // owner's deque: LIFO for itself

@@ -27,9 +27,14 @@
 namespace vqdr::par {
 
 /// The default worker count for `threads = 0` requests: the VQDR_THREADS
-/// environment variable when set to a positive integer, otherwise
-/// std::thread::hardware_concurrency(). Always >= 1.
+/// environment variable when set to a positive integer that fits an int,
+/// otherwise std::thread::hardware_concurrency(). Always >= 1.
 int DefaultThreads();
+
+/// The worker count for a `threads` option, one rule for every engine and
+/// the service: 0 asks for DefaultThreads(), a negative request runs one
+/// worker (serially), and N >= 1 is taken as is. Always >= 1.
+int ResolveThreads(int requested);
 
 /// A fixed-size work-stealing pool. Tasks submitted from outside the pool
 /// are distributed round-robin across worker deques; tasks submitted from

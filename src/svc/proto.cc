@@ -1,6 +1,5 @@
 #include "svc/proto.h"
 
-#include <cstdio>
 #include <optional>
 #include <utility>
 
@@ -183,38 +182,6 @@ StatusOr<Request> ParseRequest(std::string_view line) {
   }
 
   return req;
-}
-
-void AppendJson(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 std::string SerializeResponse(const Response& r) {

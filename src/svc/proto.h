@@ -10,6 +10,7 @@
 #include "base/status.h"
 #include "guard/budget.h"
 #include "guard/outcome.h"
+#include "obs/metrics.h"
 
 // The vqdr-serve wire protocol (DESIGN.md §13): line-delimited JSON over a
 // local stream socket. One request object per line in, one response object
@@ -111,8 +112,11 @@ std::string SerializeResponse(const Response& r);
 /// A !ok response with the given code/message (no retry hint).
 Response ErrorResponse(std::string code, std::string message);
 
-/// Appends `s` as a double-quoted JSON string (escapes ", \, control).
-void AppendJson(std::string_view s, std::string* out);
+/// Appends `s` as a double-quoted JSON string (escapes ", \, control): the
+/// obs escaper, under the protocol's name.
+inline void AppendJson(std::string_view s, std::string* out) {
+  obs::internal::AppendJsonString(s, out);
+}
 
 }  // namespace vqdr::svc
 

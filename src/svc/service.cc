@@ -13,14 +13,11 @@
 #include "cq/parser.h"
 #include "guard/fault.h"
 #include "memo/memo.h"
+#include "memo/snapshot.h"
+#include "memo/store.h"
 #include "obs/export.h"
 #include "obs/registry.h"
 #include "obs/watchdog.h"
-
-#ifndef VQDR_MEMO_DISABLED
-#include "memo/snapshot.h"
-#include "memo/store.h"
-#endif
 
 namespace vqdr::svc {
 
@@ -334,11 +331,10 @@ struct Service::Job {
 };
 
 Service::Service(ServiceOptions options) : options_(std::move(options)) {
-  if (options_.threads <= 0) options_.threads = par::DefaultThreads();
+  options_.threads = par::ResolveThreads(options_.threads);
   pool_ = std::make_unique<par::ThreadPool>(options_.threads);
   if (options_.enable_memo) memo::SetEnabled(true);
   metrics_baseline_ = obs::SnapshotMetrics();
-#ifndef VQDR_MEMO_DISABLED
   if (options_.enable_memo) {
     const char* env = std::getenv("VQDR_MEMO_SNAPSHOT");
     memo_snapshot_path_ = options_.memo_snapshot_path;
@@ -356,7 +352,6 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
           store, memo_snapshot_path_, options_.memo_flush_ms);
     }
   }
-#endif
   RegisterBuiltinOps();
   if (options_.cancel_stalled) {
     // The hook fires on the watchdog thread with the stalled op's identity;
@@ -387,16 +382,13 @@ Service::~Service() {
   BeginDrain();
   pool_->Wait();
   if (stall_hook_installed_) obs::SetStallCallback(nullptr);
-#ifndef VQDR_MEMO_DISABLED
   // After the pool drained: the final snapshot flush sees every install the
   // in-flight requests made. This is the SIGTERM drain-then-exit write.
   memo_flusher_.reset();
-#endif
   pool_.reset();
 }
 
 Status Service::FlushMemoSnapshot(std::string* result_json) {
-#ifndef VQDR_MEMO_DISABLED
   if (memo_flusher_ == nullptr) {
     return Status::InvalidArgument(
         "no memo snapshot configured (--memo-snapshot or "
@@ -419,10 +411,6 @@ Status Service::FlushMemoSnapshot(std::string* result_json) {
     *result_json = std::move(out);
   }
   return Status::Ok();
-#else
-  (void)result_json;
-  return Status::InvalidArgument("memo subsystem compiled out");
-#endif
 }
 
 ServiceStats Service::stats() const {

@@ -160,12 +160,9 @@ class Service {
 
   // Warm-restart persistence: null when no snapshot path is configured. The
   // flusher is reset in the destructor AFTER the pool drains, which is the
-  // flush-on-SIGTERM-drain final write. (The path stays "" and the flusher
-  // member disappears when the memo subsystem is compiled out.)
+  // flush-on-SIGTERM-drain final write.
   std::string memo_snapshot_path_;
-#ifndef VQDR_MEMO_DISABLED
   std::unique_ptr<memo::SnapshotFlusher> memo_flusher_;
-#endif
 
   std::atomic<bool> draining_{false};
   std::atomic<std::size_t> in_flight_{0};

@@ -1,10 +1,15 @@
 // Tests for the base substrate: Status/StatusOr, Rng determinism, string
-// utilities, Value/NamePool/ValueFactory.
+// utilities, the environment-switch parser, Value/NamePool/ValueFactory.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 
+#include "base/env.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/string_util.h"
@@ -90,6 +95,36 @@ TEST(StringUtilTest, StartsWithAndJoin) {
   std::vector<std::string> parts{"a", "b", "c"};
   EXPECT_EQ(Join(parts, ", "), "a, b, c");
   EXPECT_EQ(Join(std::vector<std::string>{}, ","), "");
+}
+
+// Every numeric VQDR_* switch goes through ParseEnvUint, so a sign must not
+// wrap ("-1" would read as 2^64-1 through strtoull) and an out-of-range
+// value must be refused rather than clamped to ULLONG_MAX.
+TEST(EnvTest, ParseEnvUintAcceptsOnlyPlainDecimalsUpToMax) {
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(ParseEnvUint("0", 10), 0u);
+  EXPECT_EQ(ParseEnvUint("7", 10), 7u);
+  EXPECT_EQ(ParseEnvUint("10", 10), 10u);
+  EXPECT_EQ(ParseEnvUint("11", 10), std::nullopt);
+  EXPECT_EQ(ParseEnvUint("18446744073709551615", kU64Max), kU64Max);
+  EXPECT_EQ(ParseEnvUint("18446744073709551616", kU64Max), std::nullopt);
+  EXPECT_EQ(ParseEnvUint("99999999999999999999999", kU64Max), std::nullopt);
+  for (const char* bad : {"", "-1", "-0", "+1", " 1", "1 ", "1x", "0x10"}) {
+    EXPECT_EQ(ParseEnvUint(bad, kU64Max), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseEnvUint(nullptr, kU64Max), std::nullopt);
+}
+
+// kMaxWaitMs is the bound on period switches: as steady_clock ticks it stays
+// positive, and a deadline that far past now() does not wrap.
+TEST(EnvTest, MaxWaitFitsASteadyClockDeadline) {
+  auto ticks = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::milliseconds(kMaxWaitMs));
+  EXPECT_GT(ticks.count(), 0);
+  auto now = std::chrono::steady_clock::now();
+  EXPECT_GT(now + ticks, now);
+  // Generous: more than a century.
+  EXPECT_GT(kMaxWaitMs, 100ull * 365 * 24 * 3600 * 1000);
 }
 
 TEST(NamePoolTest, InternIsIdempotent) {

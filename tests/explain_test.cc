@@ -3,7 +3,7 @@
 // searches, and the full analysis battery record — and, centrally, that
 // every recorded containment witness REPLAYS: the homomorphism in the log
 // re-checks against the instance in the log, before and after a JSON round
-// trip. Under -DVQDR_OBS=OFF the same calls must leave the logs empty.
+// trip.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +18,7 @@
 #include "gen/workloads.h"
 #include "obs/explain.h"
 
-#ifndef VQDR_MEMO_DISABLED
 #include "memo/store.h"
-#endif
 
 namespace vqdr {
 namespace {
@@ -110,10 +108,6 @@ TEST_F(ExplainFixture, ContainmentRecordsReplayableWitnessPerPattern) {
   options.explain = &log;
   EXPECT_TRUE(CqContainedIn(triangle, walk, options));
 
-  if (!obs::kExplainEnabled) {
-    EXPECT_TRUE(log.empty());
-    return;
-  }
   LogAudit audit = Audit(log);
   // Pure CQs: one canonical database, one passing pattern, zero refutations.
   EXPECT_EQ(audit.witnesses, 1);
@@ -130,7 +124,6 @@ TEST_F(ExplainFixture, NonContainmentRecordsTheRefutingCanonicalDatabase) {
   options.explain = &log;
   EXPECT_FALSE(CqContainedIn(walk, triangle, options));
 
-  if (!obs::kExplainEnabled) return;
   LogAudit audit = Audit(log);
   EXPECT_EQ(audit.refutations, 1);
   // The refutation carries the canonical database ([Q] of the walk: 2 facts).
@@ -155,7 +148,6 @@ TEST_F(ExplainFixture, DisequalitySweepRecordsEveryPatternCheck) {
   options.explain = &log;
   EXPECT_TRUE(CqContainedIn(left, right, options));
 
-  if (!obs::kExplainEnabled) return;
   LogAudit audit = Audit(log);
   EXPECT_GE(audit.witnesses, 1);
   EXPECT_EQ(audit.failed_verifications, 0) << audit.first_error;
@@ -170,7 +162,6 @@ TEST_F(ExplainFixture, UcqWitnessNamesTheWitnessingDisjunct) {
   options.explain = &log;
   EXPECT_TRUE(UcqContainedIn(q1, q2, options));
 
-  if (!obs::kExplainEnabled) return;
   bool found = false;
   for (const obs::ExplainEvent& e : log.events()) {
     if (e.kind != obs::ExplainKind::kWitness) continue;
@@ -197,7 +188,6 @@ TEST_F(ExplainFixture, GovernedContainmentRecordsTheSameProvenance) {
   EXPECT_TRUE(result.contained);
   EXPECT_EQ(result.outcome, guard::Outcome::kComplete);
 
-  if (!obs::kExplainEnabled) return;
   LogAudit audit = Audit(log);
   EXPECT_EQ(audit.witnesses, 1);
   EXPECT_EQ(audit.failed_verifications, 0) << audit.first_error;
@@ -215,10 +205,6 @@ TEST_F(ExplainFixture, ChaseChainRecordsLevelSizesAndFreshNulls) {
   ChaseChain chain = BuildChaseChain(views, q, options, factory);
   ASSERT_EQ(chain.d.size(), 3u);
 
-  if (!obs::kExplainEnabled) {
-    EXPECT_TRUE(log.empty());
-    return;
-  }
   LogAudit audit = Audit(log);
   ASSERT_EQ(audit.chase_levels, 3);
   // Each event's recorded sizes match the chain it claims to describe.
@@ -248,7 +234,6 @@ TEST_F(ExplainFixture, DeterminedDecisionCarriesAVerifyingWitness) {
   auto result = DecideUnrestrictedDeterminacy(views, q, nullptr, {}, &log);
   EXPECT_TRUE(result.determined);
 
-  if (!obs::kExplainEnabled) return;
   LogAudit audit = Audit(log);
   EXPECT_EQ(audit.decisions, 1);
   EXPECT_EQ(audit.failed_verifications, 0) << audit.first_error;
@@ -271,7 +256,6 @@ TEST_F(ExplainFixture, UndeterminedDecisionCarriesTheChaseInverse) {
   auto result = DecideUnrestrictedDeterminacy(views, q, nullptr, {}, &log);
   EXPECT_FALSE(result.determined);
 
-  if (!obs::kExplainEnabled) return;
   for (const obs::ExplainEvent& e : log.events()) {
     if (e.kind != obs::ExplainKind::kDecision) continue;
     EXPECT_EQ(e.stats.at("determined"), 0);
@@ -293,10 +277,6 @@ TEST_F(ExplainFixture, SearchRecordsTheCounterexamplePair) {
   DeterminacySearchResult result = SearchDeterminacyCounterexample(
       views, Query::FromCq(q), Schema{{"E", 2}}, options);
 
-  if (!obs::kExplainEnabled) {
-    EXPECT_TRUE(log.empty());
-    return;
-  }
   ASSERT_EQ(log.size(), 1u);
   const std::vector<obs::ExplainEvent> events = log.events();
   const obs::ExplainEvent& e = events[0];
@@ -312,7 +292,6 @@ TEST_F(ExplainFixture, SearchRecordsTheCounterexamplePair) {
   }
 }
 
-#ifndef VQDR_MEMO_DISABLED
 TEST_F(ExplainFixture, MemoProbesAppearAsHitAndMissEvents) {
   ConjunctiveQuery triangle = Cq("Q(x) :- E(x, y), E(y, z), E(z, x)");
   ConjunctiveQuery walk = Cq("Q(x) :- E(x, u), E(u, v)");
@@ -326,7 +305,6 @@ TEST_F(ExplainFixture, MemoProbesAppearAsHitAndMissEvents) {
   EXPECT_TRUE(CqContainedIn(triangle, walk, options));
   EXPECT_TRUE(CqContainedIn(triangle, walk, options));
 
-  if (!obs::kExplainEnabled) return;
   int hits = 0, misses = 0;
   for (const obs::ExplainEvent& e : log.events()) {
     if (e.kind != obs::ExplainKind::kMemo) continue;
@@ -335,7 +313,6 @@ TEST_F(ExplainFixture, MemoProbesAppearAsHitAndMissEvents) {
   EXPECT_EQ(misses, 1);  // cold call
   EXPECT_EQ(hits, 1);    // warm call skips the sweep
 }
-#endif  // VQDR_MEMO_DISABLED
 
 TEST_F(ExplainFixture, ReportLogSurvivesJsonRoundTripWithReplay) {
   // The full battery on the determined example, serialized and parsed back:
@@ -351,10 +328,6 @@ TEST_F(ExplainFixture, ReportLogSurvivesJsonRoundTripWithReplay) {
       AnalyzeDeterminacy(views, q, Schema{{"E", 2}}, opts);
   EXPECT_EQ(report.verdict, DeterminacyVerdict::kDeterminedWithRewriting);
 
-  if (!obs::kExplainEnabled) {
-    EXPECT_TRUE(report.explain.empty());
-    return;
-  }
   ASSERT_FALSE(report.explain.empty());
   // The battery closes with the verdict event.
   EXPECT_EQ(report.explain.events().back().label, "report.verdict");
@@ -384,7 +357,6 @@ TEST_F(ExplainFixture, RefutedReportCarriesCounterexampleProvenance) {
   DeterminacyReport report =
       AnalyzeDeterminacy(views, q, Schema{{"E", 2}}, opts);
 
-  if (!obs::kExplainEnabled) return;
   LogAudit audit = Audit(report.explain);
   EXPECT_EQ(audit.decisions, 2);  // the chase decision + the closing verdict
   if (report.verdict == DeterminacyVerdict::kRefuted) {

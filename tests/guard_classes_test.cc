@@ -120,8 +120,6 @@ TEST(BudgetClassTable, DefaultAlwaysResolvable) {
   EXPECT_EQ(table.Resolve("").spec().cap.max_steps, 10u);
 }
 
-#ifndef VQDR_GUARD_DISABLED
-
 TEST(BudgetComposition, ChildTripsOnOwnTighterLimit) {
   guard::Budget envelope(BudgetSpec{});  // unlimited
   BudgetSpec tight;
@@ -232,8 +230,6 @@ TEST(BudgetComposition, ThreadedEnvelopeDifferential) {
               kLimit + static_cast<std::uint64_t>(threads));
   }
 }
-
-#endif  // VQDR_GUARD_DISABLED
 
 }  // namespace
 }  // namespace vqdr::guard

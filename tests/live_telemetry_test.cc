@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "base/env.h"
 #include "core/finite_search.h"
 #include "cq/containment.h"
 #include "cq/parser.h"
@@ -22,8 +25,6 @@
 
 namespace vqdr {
 namespace {
-
-#ifndef VQDR_OBS_DISABLED
 
 ConjunctiveQuery Cq(const std::string& text, NamePool& pool) {
   auto q = ParseCq(text, pool);
@@ -123,16 +124,12 @@ TEST(OpRegistry, BudgetStateIsVisibleWhileInFlight) {
   obs::OpScope op(obs::OpKind::kSearch, "test.budget", &budget);
   budget.Checkpoint(12);
   obs::OpSnapshot snap = obs::SnapshotOp(op.id());
-#ifndef VQDR_GUARD_DISABLED
   ASSERT_TRUE(snap.budget.present);
   EXPECT_EQ(snap.budget.steps, 12u);
   EXPECT_EQ(snap.budget.max_steps, 1000u);
   EXPECT_FALSE(snap.budget.stopped);
   // Checkpoints heartbeat the op through the guard observer seam.
   EXPECT_GE(snap.heartbeats, 12u);
-#else
-  EXPECT_TRUE(snap.budget.present);
-#endif
 }
 
 TEST(OpRegistry, CompletedOpsAreKeptWhenAsked) {
@@ -150,6 +147,15 @@ TEST(OpRegistry, CompletedOpsAreKeptWhenAsked) {
   EXPECT_EQ(done.front().counters.at("test.completed.counter"), 1u);
   obs::SetKeepCompletedOps(0);
   EXPECT_TRUE(obs::RecentCompletedOps().empty());
+}
+
+// A period the dump thread's timed wait cannot represent must be refused:
+// 2^64-1 ms (what "-1" reads as through strtoull) turns into -1 ms there,
+// and the thread spins, flooding stderr.
+TEST(OpRegistry, OpsDumpRefusesUnrepresentablePeriods) {
+  EXPECT_FALSE(obs::StartOpsDump(std::numeric_limits<std::uint64_t>::max()));
+  EXPECT_FALSE(obs::StartOpsDump(kMaxWaitMs + 1));
+  obs::StopOpsDump();
 }
 
 TEST(OpRegistry, JsonAndTextRendersCoverTheTable) {
@@ -317,23 +323,6 @@ TEST(ObsLog, DisabledLevelIsFreeAndEmitsNothing) {
   obs::SetLogCapture(nullptr);
   EXPECT_TRUE(lines.empty());
 }
-
-#else  // VQDR_OBS_DISABLED
-
-// With the obs layer compiled out the whole surface is inert stubs; assert
-// the contract the engines rely on.
-TEST(LiveTelemetryDisabled, StubsAreInert) {
-  obs::OpScope op(obs::OpKind::kSearch, "test.disabled");
-  EXPECT_EQ(op.id(), 0u);
-  EXPECT_EQ(obs::CurrentOpId(), 0u);
-  EXPECT_FALSE(obs::CurrentOpHandle());
-  EXPECT_TRUE(obs::SnapshotOps().empty());
-  EXPECT_EQ(obs::OpsToJson({}), "[]");
-  EXPECT_FALSE(obs::LogEnabled(obs::LogLevel::kError));
-  obs::LogRecord(obs::LogLevel::kError, "test.noop").Num("x", 1);
-}
-
-#endif  // VQDR_OBS_DISABLED
 
 }  // namespace
 }  // namespace vqdr

@@ -1,15 +1,17 @@
-// Differential battery: the indexed homomorphism engine vs the legacy
-// oracle (DESIGN.md §12). The contract under test is strict: both engines
-// must deliver the SAME homomorphisms in the SAME order — not merely agree
-// on match/no-match — because witnesses, first-found enumeration prefixes,
-// and every downstream verdict are byte-derived from that sequence.
-//
-// This binary is only registered when the oracle is compiled in
-// (-DVQDR_MATCHER_LEGACY=ON); it pins engines per call through
-// MatcherOptions, so it is independent of the process-default engine.
+// Differential battery: the indexed homomorphism engine vs the naive
+// backtracking oracle (tests/matcher_oracle.h, DESIGN.md §12). The contract
+// under test is strict: both engines must deliver the SAME homomorphisms in
+// the SAME order — not merely agree on match/no-match — because witnesses,
+// first-found enumeration prefixes, and every downstream verdict are
+// byte-derived from that sequence. The production entry points built on the
+// matcher (EvaluateCq, CqAnswerContains, FindInstanceHomomorphism,
+// CqContainedIn) are checked against answers computed here from the
+// oracle's enumeration.
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,16 +27,11 @@
 #include "gen/random_instance.h"
 #include "gen/random_query.h"
 #include "gen/workloads.h"
+#include "matcher_oracle.h"
 #include "obs/explain.h"
 
 namespace vqdr {
 namespace {
-
-MatcherOptions Engine(MatcherEngine engine) {
-  MatcherOptions options;
-  options.engine = engine;
-  return options;
-}
 
 Term V(const std::string& name) { return Term::Var(name); }
 Term C(std::int64_t id) { return Term::Const(Value(id)); }
@@ -52,52 +49,104 @@ ConjunctiveQuery Normalize(const ConjunctiveQuery& q) {
   return normalized;
 }
 
+// The engine under test or the oracle.
+enum class Engine { kIndexed, kOracle };
+
+// Runs one engine over `atoms`; a false on_match return stops it.
+bool Run(Engine engine, const std::vector<Atom>& atoms, const Instance& db,
+         const Binding& initial,
+         const std::function<bool(const Binding&)>& on_match) {
+  return engine == Engine::kOracle
+             ? oracle::ForEachMatch(atoms, db, initial, on_match)
+             : ForEachMatch(atoms, db, initial, on_match);
+}
+
 // Full enumeration through one engine: the exact on_match sequence.
 std::vector<Binding> Enumerate(const std::vector<Atom>& atoms,
                                const Instance& db, const Binding& initial,
-                               MatcherEngine engine) {
+                               Engine engine) {
   std::vector<Binding> out;
-  bool completed = ForEachMatch(
-      atoms, db, initial,
-      [&](const Binding& b) {
-        out.push_back(b);
-        return true;
-      },
-      nullptr, Engine(engine));
+  bool completed = Run(engine, atoms, db, initial, [&](const Binding& b) {
+    out.push_back(b);
+    return true;
+  });
   EXPECT_TRUE(completed);
   return out;
 }
 
 std::optional<Binding> FirstMatch(const std::vector<Atom>& atoms,
                                   const Instance& db, const Binding& initial,
-                                  MatcherEngine engine) {
+                                  Engine engine) {
   std::optional<Binding> out;
-  ForEachMatch(
-      atoms, db, initial,
-      [&](const Binding& b) {
-        out = b;
-        return false;
-      },
-      nullptr, Engine(engine));
+  Run(engine, atoms, db, initial, [&](const Binding& b) {
+    out = b;
+    return false;
+  });
   return out;
 }
 
+// Resolves a term under a full binding.
+Value Resolve(const Term& t, const Binding& binding) {
+  return t.is_const() ? t.constant() : binding.at(t.var());
+}
+
+// The oracle's answer to a pure CQ: the head image of every homomorphism
+// the oracle enumerates.
+Relation OracleEvaluate(const ConjunctiveQuery& q, const Instance& db) {
+  ConjunctiveQuery normalized = Normalize(q);
+  EXPECT_FALSE(normalized.UsesDisequality() || normalized.UsesNegation());
+  Relation result(q.head_arity());
+  for (const Binding& b :
+       Enumerate(normalized.atoms(), db, Binding{}, Engine::kOracle)) {
+    Tuple answer;
+    for (const Term& t : normalized.head_terms()) {
+      answer.push_back(Resolve(t, b));
+    }
+    result.Insert(answer);
+  }
+  return result;
+}
+
+// The binding that pins `head` to `tuple` (constants must agree, a repeated
+// variable must meet equal values); nullopt when no binding can.
+std::optional<Binding> HeadBinding(const std::vector<Term>& head,
+                                   const Tuple& tuple) {
+  Binding binding;
+  for (std::size_t i = 0; i < tuple.size(); ++i) {
+    if (head[i].is_const()) {
+      if (head[i].constant() != tuple[i]) return std::nullopt;
+      continue;
+    }
+    auto [it, inserted] = binding.emplace(head[i].var(), tuple[i]);
+    if (!inserted && it->second != tuple[i]) return std::nullopt;
+  }
+  return binding;
+}
+
+// The oracle's witness for `tuple` ∈ Q(D) of a pure CQ: its first
+// homomorphism with the head pinned to `tuple`.
+std::optional<Binding> OracleWitness(const ConjunctiveQuery& q,
+                                     const Instance& db, const Tuple& tuple) {
+  ConjunctiveQuery normalized = Normalize(q);
+  std::optional<Binding> initial = HeadBinding(normalized.head_terms(), tuple);
+  if (!initial.has_value()) return std::nullopt;
+  return FirstMatch(normalized.atoms(), db, *initial, Engine::kOracle);
+}
+
 // Asserts the two engines produce identical enumeration sequences for the
-// atoms of `q` over `db`, and identical EvaluateCq answers.
+// atoms of `q` over `db`, and that EvaluateCq returns the oracle's answer.
 void ExpectEngineAgreement(const ConjunctiveQuery& q, const Instance& db,
                            const std::string& context) {
   ConjunctiveQuery normalized = Normalize(q);
-  std::vector<Binding> legacy =
-      Enumerate(normalized.atoms(), db, Binding{}, MatcherEngine::kLegacy);
+  std::vector<Binding> oracle =
+      Enumerate(normalized.atoms(), db, Binding{}, Engine::kOracle);
   std::vector<Binding> indexed =
-      Enumerate(normalized.atoms(), db, Binding{}, MatcherEngine::kIndexed);
-  ASSERT_EQ(legacy.size(), indexed.size()) << context;
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    ASSERT_EQ(legacy[i], indexed[i]) << context << " at match #" << i;
+      Enumerate(normalized.atoms(), db, Binding{}, Engine::kIndexed);
+  ASSERT_EQ(oracle.size(), indexed.size()) << context;
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    ASSERT_EQ(oracle[i], indexed[i]) << context << " at match #" << i;
   }
-  EXPECT_EQ(EvaluateCq(q, db, Engine(MatcherEngine::kLegacy)),
-            EvaluateCq(q, db, Engine(MatcherEngine::kIndexed)))
-      << context;
+  EXPECT_EQ(OracleEvaluate(q, db), EvaluateCq(q, db)) << context;
 }
 
 Schema DiffSchema() { return Schema{{"E", 2}, {"P", 1}, {"T", 3}}; }
@@ -108,7 +157,6 @@ Schema DiffSchema() { return Schema{{"E", 2}, {"P", 1}, {"T", 3}}; }
 // ---------------------------------------------------------------------------
 
 TEST(MatcherDifferential, SeededRandomPairsAgree) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   int pairs = 0;
   for (std::uint64_t seed = 1; seed <= 520; ++seed) {
     Rng rng(seed * 7919);
@@ -132,7 +180,6 @@ TEST(MatcherDifferential, SeededRandomPairsAgree) {
 }
 
 TEST(MatcherDifferential, FirstFoundHomomorphismOrderPreserved) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed * 104729);
     RandomCqOptions qopt;
@@ -146,15 +193,13 @@ TEST(MatcherDifferential, FirstFoundHomomorphismOrderPreserved) {
     Instance db = RandomInstance(qopt.schema, rng, iopt);
 
     ConjunctiveQuery normalized = Normalize(q);
-    std::optional<Binding> legacy = FirstMatch(normalized.atoms(), db,
-                                               Binding{},
-                                               MatcherEngine::kLegacy);
-    std::optional<Binding> indexed = FirstMatch(normalized.atoms(), db,
-                                                Binding{},
-                                                MatcherEngine::kIndexed);
-    ASSERT_EQ(legacy.has_value(), indexed.has_value()) << "seed " << seed;
-    if (legacy.has_value()) {
-      EXPECT_EQ(*legacy, *indexed) << "seed " << seed;
+    std::optional<Binding> oracle =
+        FirstMatch(normalized.atoms(), db, Binding{}, Engine::kOracle);
+    std::optional<Binding> indexed =
+        FirstMatch(normalized.atoms(), db, Binding{}, Engine::kIndexed);
+    ASSERT_EQ(oracle.has_value(), indexed.has_value()) << "seed " << seed;
+    if (oracle.has_value()) {
+      EXPECT_EQ(*oracle, *indexed) << "seed " << seed;
     }
   }
 }
@@ -164,7 +209,6 @@ TEST(MatcherDifferential, FirstFoundHomomorphismOrderPreserved) {
 // ---------------------------------------------------------------------------
 
 TEST(MatcherDifferential, SelfJoinsAndRepeatedVariables) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed);
     Schema schema{{"E", 2}};
@@ -192,7 +236,6 @@ TEST(MatcherDifferential, SelfJoinsAndRepeatedVariables) {
 }
 
 TEST(MatcherDifferential, ConstantsInAtoms) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   Schema schema{{"E", 2}, {"P", 1}};
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed * 31);
@@ -216,7 +259,6 @@ TEST(MatcherDifferential, ConstantsInAtoms) {
 }
 
 TEST(MatcherDifferential, BooleanAndDisconnectedBodies) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   Schema schema{{"E", 2}, {"P", 1}};
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed * 131);
@@ -241,14 +283,13 @@ TEST(MatcherDifferential, BooleanAndDisconnectedBodies) {
 }
 
 TEST(MatcherDifferential, DegenerateInputs) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   Schema schema{{"E", 2}};
   Instance empty_db(schema);
   Instance db(schema);
   db.AddFact("E", {Value(1), Value(2)});
 
   // Empty atom list: exactly one match, the initial binding, both engines.
-  for (MatcherEngine e : {MatcherEngine::kLegacy, MatcherEngine::kIndexed}) {
+  for (Engine e : {Engine::kOracle, Engine::kIndexed}) {
     std::vector<Binding> ms = Enumerate({}, db, Binding{}, e);
     ASSERT_EQ(ms.size(), 1u);
     EXPECT_TRUE(ms[0].empty());
@@ -258,34 +299,33 @@ TEST(MatcherDifferential, DegenerateInputs) {
 
   // Atom over an empty relation: no matches, enumeration completes.
   EXPECT_TRUE(
-      Enumerate(edge, empty_db, Binding{}, MatcherEngine::kLegacy).empty());
+      Enumerate(edge, empty_db, Binding{}, Engine::kOracle).empty());
   EXPECT_TRUE(
-      Enumerate(edge, empty_db, Binding{}, MatcherEngine::kIndexed).empty());
+      Enumerate(edge, empty_db, Binding{}, Engine::kIndexed).empty());
 
   // Predicate missing from the schema entirely: treated as empty relation.
   Instance narrow{Schema{{"P", 1}}};
   EXPECT_TRUE(
-      Enumerate(edge, narrow, Binding{}, MatcherEngine::kLegacy).empty());
+      Enumerate(edge, narrow, Binding{}, Engine::kOracle).empty());
   EXPECT_TRUE(
-      Enumerate(edge, narrow, Binding{}, MatcherEngine::kIndexed).empty());
+      Enumerate(edge, narrow, Binding{}, Engine::kIndexed).empty());
 
   // Pre-bound initial binding, satisfiable and not.
   Binding hit{{"x", Value(1)}};
   Binding miss{{"x", Value(7)}};
-  EXPECT_EQ(Enumerate(edge, db, hit, MatcherEngine::kLegacy),
-            Enumerate(edge, db, hit, MatcherEngine::kIndexed));
-  EXPECT_EQ(Enumerate(edge, db, miss, MatcherEngine::kLegacy),
-            Enumerate(edge, db, miss, MatcherEngine::kIndexed));
+  EXPECT_EQ(Enumerate(edge, db, hit, Engine::kOracle),
+            Enumerate(edge, db, hit, Engine::kIndexed));
+  EXPECT_EQ(Enumerate(edge, db, miss, Engine::kOracle),
+            Enumerate(edge, db, miss, Engine::kIndexed));
 }
 
 // ---------------------------------------------------------------------------
 // Every pruning rule is individually order-preserving: any combination of
-// forward checking / backjumping / symmetry breaking yields the legacy
+// forward checking / backjumping / symmetry breaking yields the oracle's
 // sequence.
 // ---------------------------------------------------------------------------
 
 TEST(MatcherDifferential, PruningTogglesPreserveSequence) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     Rng rng(seed * 271);
     RandomCqOptions qopt;
@@ -299,10 +339,9 @@ TEST(MatcherDifferential, PruningTogglesPreserveSequence) {
     Instance db = RandomInstance(qopt.schema, rng, iopt);
 
     std::vector<Binding> oracle =
-        Enumerate(q.atoms(), db, Binding{}, MatcherEngine::kLegacy);
+        Enumerate(q.atoms(), db, Binding{}, Engine::kOracle);
     for (int mask = 0; mask < 8; ++mask) {
       MatcherOptions options;
-      options.engine = MatcherEngine::kIndexed;
       options.forward_checking = (mask & 1) != 0;
       options.conflict_backjumping = (mask & 2) != 0;
       options.symmetry_breaking = (mask & 4) != 0;
@@ -320,12 +359,12 @@ TEST(MatcherDifferential, PruningTogglesPreserveSequence) {
 }
 
 // ---------------------------------------------------------------------------
-// Witness extraction: verdicts equal, witnesses byte-identical, and the
-// extracted witness replays through the engine-independent explain bridge.
+// Witness extraction: CqAnswerContains returns the oracle's first witness
+// byte for byte, and the witness replays through the engine-independent
+// explain bridge.
 // ---------------------------------------------------------------------------
 
 TEST(MatcherDifferential, WitnessesIdenticalAndReplayable) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   int verified = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     Rng rng(seed * 613);
@@ -342,16 +381,13 @@ TEST(MatcherDifferential, WitnessesIdenticalAndReplayable) {
 
     Relation answers = EvaluateCq(q, db);
     for (const Tuple& t : answers.tuples()) {
-      Binding legacy_witness;
+      std::optional<Binding> oracle_witness = OracleWitness(q, db, t);
       Binding indexed_witness;
-      bool legacy_found = CqAnswerContains(q, db, t, nullptr, &legacy_witness,
-                                           Engine(MatcherEngine::kLegacy));
-      bool indexed_found = CqAnswerContains(q, db, t, nullptr,
-                                            &indexed_witness,
-                                            Engine(MatcherEngine::kIndexed));
-      ASSERT_TRUE(legacy_found) << "seed " << seed;
+      bool indexed_found =
+          CqAnswerContains(q, db, t, nullptr, &indexed_witness);
+      ASSERT_TRUE(oracle_witness.has_value()) << "seed " << seed;
       ASSERT_TRUE(indexed_found) << "seed " << seed;
-      ASSERT_EQ(legacy_witness, indexed_witness) << "seed " << seed;
+      ASSERT_EQ(*oracle_witness, indexed_witness) << "seed " << seed;
 
       obs::ExplainWitness witness =
           MakeContainmentWitness(q, db, t, indexed_witness);
@@ -361,10 +397,8 @@ TEST(MatcherDifferential, WitnessesIdenticalAndReplayable) {
     }
     // Negative side: a tuple outside the answer must be rejected by both.
     Tuple absent{Value(997)};
-    EXPECT_EQ(CqAnswerContains(q, db, absent, nullptr, nullptr,
-                               Engine(MatcherEngine::kLegacy)),
-              CqAnswerContains(q, db, absent, nullptr, nullptr,
-                               Engine(MatcherEngine::kIndexed)));
+    EXPECT_EQ(OracleWitness(q, db, absent).has_value(),
+              CqAnswerContains(q, db, absent));
   }
   EXPECT_GT(verified, 50);
 }
@@ -375,8 +409,40 @@ TEST(MatcherDifferential, WitnessesIdenticalAndReplayable) {
 // tsan).
 // ---------------------------------------------------------------------------
 
+// The oracle's homomorphism from `from` to `to`: every value of `from`
+// becomes the variable "h<id>", and the oracle's first match over the
+// resulting atoms is read back as a value map.
+std::optional<std::map<Value, Value>> OracleInstanceHomomorphism(
+    const Instance& from, const Instance& to) {
+  auto var = [](Value v) { return "h" + std::to_string(v.id); };
+  std::vector<Atom> atoms;
+  for (const RelationDecl& decl : from.schema().decls()) {
+    for (const Tuple& fact : from.Get(decl.name).tuples()) {
+      Atom atom{decl.name, {}};
+      for (Value v : fact) atom.args.push_back(Term::Var(var(v)));
+      atoms.push_back(std::move(atom));
+    }
+  }
+  std::optional<Binding> found =
+      FirstMatch(atoms, to, Binding{}, Engine::kOracle);
+  if (!found.has_value()) return std::nullopt;
+  std::map<Value, Value> hom;
+  for (Value v : from.ActiveDomain()) hom[v] = found->at(var(v));
+  return hom;
+}
+
+// Chandra–Merlin through the oracle, for pure CQs: q1 ⊆ q2 iff q2 maps into
+// the frozen body of q1 with its head onto q1's frozen head.
+bool OracleContainedIn(const ConjunctiveQuery& q1,
+                       const ConjunctiveQuery& q2) {
+  EXPECT_FALSE(q1.UsesDisequality() || q2.UsesDisequality());
+  ValueFactory factory;
+  for (Value c : q2.Constants()) factory.NoteUsed(c);
+  FrozenQuery frozen = Freeze(q1, factory);
+  return OracleWitness(q2, frozen.instance, frozen.frozen_head).has_value();
+}
+
 TEST(MatcherDifferential, InstanceHomomorphismAgrees) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed * 37);
     Schema schema{{"E", 2}};
@@ -389,19 +455,16 @@ TEST(MatcherDifferential, InstanceHomomorphismAgrees) {
     Instance from = RandomInstance(schema, rng, small);
     Instance to = RandomInstance(schema, rng, big);
 
-    auto legacy = FindInstanceHomomorphism(from, to, {}, {},
-                                           Engine(MatcherEngine::kLegacy));
-    auto indexed = FindInstanceHomomorphism(from, to, {}, {},
-                                            Engine(MatcherEngine::kIndexed));
-    ASSERT_EQ(legacy.has_value(), indexed.has_value()) << "seed " << seed;
-    if (legacy.has_value()) {
-      EXPECT_EQ(*legacy, *indexed) << "seed " << seed;
+    auto oracle = OracleInstanceHomomorphism(from, to);
+    auto indexed = FindInstanceHomomorphism(from, to);
+    ASSERT_EQ(oracle.has_value(), indexed.has_value()) << "seed " << seed;
+    if (oracle.has_value()) {
+      EXPECT_EQ(*oracle, *indexed) << "seed " << seed;
     }
   }
 }
 
 TEST(MatcherDifferential, ContainmentVerdictsAgreeAcrossThreads) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed * 911);
     RandomCqOptions qopt;
@@ -411,14 +474,11 @@ TEST(MatcherDifferential, ContainmentVerdictsAgreeAcrossThreads) {
     ConjunctiveQuery q1 = RandomCq(rng, qopt);
     ConjunctiveQuery q2 = RandomCq(rng, qopt);
 
-    CqContainmentOptions legacy;
-    legacy.matcher = Engine(MatcherEngine::kLegacy);
-    bool oracle = CqContainedIn(q1, q2, legacy);
+    bool oracle = OracleContainedIn(q1, q2);
     for (int threads : {1, 2, 8}) {
-      CqContainmentOptions indexed;
-      indexed.matcher = Engine(MatcherEngine::kIndexed);
-      indexed.threads = threads;
-      EXPECT_EQ(oracle, CqContainedIn(q1, q2, indexed))
+      CqContainmentOptions options;
+      options.threads = threads;
+      EXPECT_EQ(oracle, CqContainedIn(q1, q2, options))
           << "seed " << seed << " threads " << threads;
     }
   }
@@ -427,9 +487,8 @@ TEST(MatcherDifferential, ContainmentVerdictsAgreeAcrossThreads) {
 // Chain/cycle workloads from the bench suite — the hom-dominated shapes the
 // speedup claim is measured on must agree too, not just random soup.
 TEST(MatcherDifferential, WorkloadShapesAgree) {
-  if (!MatcherLegacyCompiled()) GTEST_SKIP() << "oracle not compiled in";
-  // Chain length is capped at 8: legacy full enumeration over the random
-  // graph grows fast with n, and this binary also runs under tsan.
+  // Chain length is capped at 8: the oracle's full enumeration over the
+  // random graph grows fast with n, and this binary also runs under tsan.
   for (int n : {2, 4, 6, 8}) {
     Instance db = RandomGraph(10, 30, /*seed=*/static_cast<std::uint64_t>(n));
     ExpectEngineAgreement(ChainQuery(n), db, "chain " + std::to_string(n));

@@ -181,8 +181,6 @@ TEST(MemoDifferential, TinyCapacityThrashStillMatchesCold) {
   EXPECT_GT(store.Stats().evictions, 0u);
 }
 
-#ifndef VQDR_GUARD_FAULTS_DISABLED
-
 TEST(MemoChaos, InjectedContainmentFaultInstallsNothing) {
   // The very first pattern check throws (injected allocation failure). The
   // sweep captures it and reports kInternalError — and the memo layer must
@@ -280,8 +278,6 @@ TEST(MemoChaos, BudgetStoppedDeterminacyInstallsNothing) {
       DecideUnrestrictedDeterminacy(views, q, nullptr, on);
   ExpectSameResult(warm, clean, "warm determinacy after budget-stopped run");
 }
-
-#endif  // VQDR_GUARD_FAULTS_DISABLED
 
 }  // namespace
 }  // namespace vqdr

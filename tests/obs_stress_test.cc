@@ -138,7 +138,6 @@ TEST_P(ObsStressFixture, SharedExplainLogSurvivesParallelSweep) {
   options.explain = &log;
   EXPECT_TRUE(CqContainedIn(left, right, options));
 
-  if (!obs::kExplainEnabled) return;
   int witnesses = 0;
   for (const obs::ExplainEvent& e : log.events()) {
     if (e.kind != obs::ExplainKind::kWitness) continue;
@@ -148,8 +147,6 @@ TEST_P(ObsStressFixture, SharedExplainLogSurvivesParallelSweep) {
   }
   EXPECT_GE(witnesses, 1);
 }
-
-#ifndef VQDR_OBS_DISABLED
 
 // Live-telemetry battery (DESIGN.md §11): GetParam() client threads each
 // open their own OpScope and run a full engine call while a snapshotter
@@ -302,8 +299,6 @@ TEST_P(ObsStressFixture, LoggerStampsRecordsWithTheEmittingOp) {
     EXPECT_EQ(field(line, "op"), ids[client]) << line;
   }
 }
-
-#endif  // VQDR_OBS_DISABLED
 
 INSTANTIATE_TEST_SUITE_P(Threads, ObsStressFixture, ::testing::Values(2, 8),
                          [](const ::testing::TestParamInfo<int>& info) {

@@ -1,8 +1,7 @@
 // Tests for the observability layer: counter registry and snapshot/delta
 // semantics, histogram extremes, the trace ring buffer and JSONL sink
-// (including span nesting order), the progress hook, and the
-// VQDR_OBS_DISABLED macro seam — both modes compiled into this one file by
-// re-including obs/obs_macros.h.
+// (including span nesting order), the progress hook, and the hot-path
+// macros.
 
 #include <gtest/gtest.h>
 
@@ -86,10 +85,7 @@ TEST(ObsMetrics, SnapshotRendersToStringAndJson) {
   EXPECT_NE(json.find("\"test.obs.render\":"), std::string::npos);
 }
 
-// --- macros (enabled mode) -------------------------------------------------
-// Compiled out under a -DVQDR_OBS=OFF build, where the macros are no-ops
-// from the first include on.
-#ifndef VQDR_OBS_DISABLED
+// --- macros ----------------------------------------------------------------
 
 TEST(ObsMacros, EnabledMacrosBumpTheNamedCounter) {
   std::uint64_t before = obs::GetCounter("test.obs.macro.live").value();
@@ -102,8 +98,6 @@ TEST(ObsMacros, EnabledMacrosBumpTheNamedCounter) {
   VQDR_HISTOGRAM_RECORD("test.obs.macro.hist", 17);
   EXPECT_GE(obs::GetHistogram("test.obs.macro.hist").count(), 1u);
 }
-
-#endif  // VQDR_OBS_DISABLED
 
 // --- tracing ---------------------------------------------------------------
 
@@ -454,7 +448,6 @@ TEST(ObsProfile, ParsesJsonlSinkAndConvertsToChromeTrace) {
   obs::DisableTracing();
   obs::DrainTraceEvents();
 
-#ifndef VQDR_OBS_DISABLED
   std::ifstream file(path);
   ASSERT_TRUE(file.is_open());
   std::string error;
@@ -483,7 +476,6 @@ TEST(ObsProfile, ParsesJsonlSinkAndConvertsToChromeTrace) {
   ASSERT_TRUE(obs::ConvertTraceJsonlToChrome(file2, converted, &error))
       << error;
   EXPECT_NE(converted.str().find("\"ph\":\"X\""), std::string::npos);
-#endif  // VQDR_OBS_DISABLED
   std::remove(path.c_str());
 }
 
@@ -584,49 +576,6 @@ TEST(ObsProgress, SearchTallyIsFedFromObsCounter) {
   std::uint64_t after = obs::GetCounter("search.instances").value();
   EXPECT_GT(result.instances_examined, 0u);
   EXPECT_EQ(after - before, result.instances_examined);
-}
-
-}  // namespace
-}  // namespace vqdr
-
-// --- the macro seam: disabled mode in the same translation unit ------------
-
-#define VQDR_OBS_DISABLED
-#include "obs/obs_macros.h"  // macros are now no-ops
-
-namespace vqdr {
-namespace {
-
-TEST(ObsMacros, DisabledMacrosAreNoOps) {
-  std::uint64_t counter_before = obs::GetCounter("test.obs.macro.dead").value();
-  std::uint64_t hist_before = obs::GetHistogram("test.obs.macro.hist").count();
-  obs::EnableTracing();
-  obs::DrainTraceEvents();
-
-  VQDR_COUNTER_INC("test.obs.macro.dead");
-  VQDR_COUNTER_ADD("test.obs.macro.dead", 100);
-  VQDR_HISTOGRAM_RECORD("test.obs.macro.hist", 5);
-  { VQDR_TRACE_SPAN("test.obs.macro.dead.span"); }
-
-  EXPECT_EQ(obs::GetCounter("test.obs.macro.dead").value(), counter_before);
-  EXPECT_EQ(obs::GetHistogram("test.obs.macro.hist").count(), hist_before);
-  EXPECT_TRUE(obs::DrainTraceEvents().empty());
-  obs::DisableTracing();
-}
-
-}  // namespace
-}  // namespace vqdr
-
-#undef VQDR_OBS_DISABLED
-#include "obs/obs_macros.h"  // restore for anything below
-
-namespace vqdr {
-namespace {
-
-TEST(ObsMacros, ReincludeRestoresLiveMacros) {
-  std::uint64_t before = obs::GetCounter("test.obs.macro.restored").value();
-  VQDR_COUNTER_INC("test.obs.macro.restored");
-  EXPECT_EQ(obs::GetCounter("test.obs.macro.restored").value(), before + 1);
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -73,6 +75,38 @@ TEST(ThreadPool, SizeAndDefaultThreads) {
   par::ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3);
   EXPECT_GE(par::DefaultThreads(), 1);
+}
+
+// DefaultThreads promises a count >= 1, so a VQDR_THREADS value that does
+// not fit an int (narrowed, "2147483648" would read as INT_MIN) falls back
+// to the hardware default like any other invalid value.
+TEST(ThreadPool, DefaultThreadsRejectsOutOfRangeEnv) {
+  const char* saved = std::getenv("VQDR_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("VQDR_THREADS");
+  const int fallback = par::DefaultThreads();
+  for (const char* bad :
+       {"2147483648", "99999999999999999999", "-1", "0", "3x", ""}) {
+    ::setenv("VQDR_THREADS", bad, 1);
+    EXPECT_EQ(par::DefaultThreads(), fallback) << "'" << bad << "'";
+  }
+  ::setenv("VQDR_THREADS", "2147483647", 1);
+  EXPECT_EQ(par::DefaultThreads(), 2147483647);
+  ::setenv("VQDR_THREADS", "3", 1);
+  EXPECT_EQ(par::DefaultThreads(), 3);
+  if (saved != nullptr) {
+    ::setenv("VQDR_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("VQDR_THREADS");
+  }
+}
+
+TEST(ThreadPool, ResolveThreadsIsOneRuleForEveryOption) {
+  EXPECT_EQ(par::ResolveThreads(0), par::DefaultThreads());
+  EXPECT_EQ(par::ResolveThreads(-1), 1);
+  EXPECT_EQ(par::ResolveThreads(-64), 1);
+  EXPECT_EQ(par::ResolveThreads(1), 1);
+  EXPECT_EQ(par::ResolveThreads(6), 6);
 }
 
 TEST(ThreadPool, ParallelForChunksCoversEveryIdOnce) {

@@ -18,10 +18,8 @@
 #include "chase/chain.h"
 #include "memo/memo.h"
 
-#ifndef VQDR_MEMO_DISABLED
 #include "memo/snapshot.h"
 #include "memo/store.h"
-#endif
 #include "core/determinacy.h"
 #include "cq/containment.h"
 #include "cq/parser.h"
@@ -183,9 +181,6 @@ TEST(SvcSoak, MixedConcurrentRequestsByteIdenticalAndHangFree) {
 // concurrent "snapshot" control ops. Every flushed image a prober loads
 // must be structurally valid, and byte-identity must hold throughout.
 TEST(SvcSoak, BackgroundSnapshotFlushUnderLoadStaysConsistent) {
-#ifdef VQDR_MEMO_DISABLED
-  GTEST_SKIP() << "memo subsystem compiled out";
-#else
   constexpr int kClientThreads = 6;
   constexpr int kRequestsPerThread = 128;
 
@@ -257,7 +252,6 @@ TEST(SvcSoak, BackgroundSnapshotFlushUnderLoadStaysConsistent) {
   EXPECT_FALSE(final_stats.corrupt) << final_stats.error;
   EXPECT_GE(final_stats.entries, 1u);
   std::remove(path.c_str());
-#endif
 }
 
 TEST(SvcSoak, OverloadNeverDropsOrFabricates) {

@@ -22,9 +22,7 @@
 #include "svc/proto.h"
 #include "svc/service.h"
 
-#ifndef VQDR_MEMO_DISABLED
 #include "memo/store.h"
-#endif
 
 namespace vqdr::svc {
 namespace {
@@ -374,8 +372,7 @@ TEST(SvcService, MetricsOperationExportsPrometheusDelta) {
   std::optional<obs::json::Value> v = MustJson(r.result_json);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->StringOr("content_type", ""), "text/plain; version=0.0.4");
-  // The body is a Prometheus text exposition; under -DVQDR_OBS=OFF the
-  // macro layer records nothing and the body is legitimately empty.
+  // The body is a Prometheus text exposition.
   const obs::json::Value* body = v->Find("body");
   ASSERT_NE(body, nullptr);
   EXPECT_TRUE(body->IsString());
@@ -387,8 +384,6 @@ TEST(SvcService, SnapshotOpWithoutPathIsStructuredError) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.code, "no_snapshot");
 }
-
-#ifndef VQDR_MEMO_DISABLED
 
 TEST(SvcService, SnapshotOpWritesTheConfiguredFile) {
   std::string path = ::testing::TempDir() + "vqdr_svc_snapshot_op.bin";
@@ -452,8 +447,6 @@ TEST(SvcService, WarmRestartServesByteIdenticalFromSnapshot) {
   EXPECT_EQ(warm.result_json, cold_result);
   std::remove(path.c_str());
 }
-
-#endif  // VQDR_MEMO_DISABLED
 
 }  // namespace
 }  // namespace vqdr::svc

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/env.h"
 #include "core/finite_search.h"
 #include "cq/parser.h"
 #include "guard/budget.h"
@@ -22,9 +25,6 @@
 
 namespace vqdr {
 namespace {
-
-#if !defined(VQDR_OBS_DISABLED) && !defined(VQDR_GUARD_DISABLED) && \
-    !defined(VQDR_GUARD_FAULTS_DISABLED)
 
 // Collects reports from the watchdog thread; install with Install(), always
 // paired with Reset() before the test ends.
@@ -222,6 +222,16 @@ TEST_F(WatchdogTest, ReportSerializesAsOneStallEvent) {
   EXPECT_EQ(json.back(), '}');
 }
 
+// Thresholds and poll periods a timed wait cannot represent must be
+// refused: the stall check reads a 2^64-1 ms threshold (what "-1" reads as
+// through strtoull) as -1 ms, and every op would count as stalled.
+TEST_F(WatchdogTest, RefusesUnrepresentablePeriods) {
+  EXPECT_FALSE(obs::StartWatchdog(std::numeric_limits<std::uint64_t>::max()));
+  EXPECT_FALSE(obs::StartWatchdog(kMaxWaitMs + 1));
+  EXPECT_FALSE(obs::StartWatchdog(100, kMaxWaitMs + 1));
+  EXPECT_FALSE(obs::WatchdogRunning());
+}
+
 TEST_F(WatchdogTest, StartIsIdempotentAndRejectsZeroThreshold) {
   EXPECT_FALSE(obs::StartWatchdog(0));
   ASSERT_TRUE(obs::StartWatchdog(100));
@@ -229,18 +239,6 @@ TEST_F(WatchdogTest, StartIsIdempotentAndRejectsZeroThreshold) {
   obs::StopWatchdog();
   EXPECT_FALSE(obs::WatchdogRunning());
 }
-
-#else
-
-// Watchdog scenarios need obs + guard + fault injection compiled in; with
-// any of them off, assert the stubs stay inert.
-TEST(WatchdogDisabled, StubsAreInert) {
-  EXPECT_FALSE(obs::WatchdogRunning());
-  EXPECT_EQ(obs::WatchdogStallReports(), 0u);
-  obs::StopWatchdog();
-}
-
-#endif
 
 }  // namespace
 }  // namespace vqdr
