@@ -118,7 +118,8 @@ struct EnumerationResult {
 };
 
 // Collects matches until kMaxMatches; `options` selects the indexed engine's
-// pruning toggles, and nullptr runs the oracle instead.
+// pruning toggles, and nullptr runs the oracle instead. The indexed engine's
+// slot view is recorded through its ToBinding() map.
 EnumerationResult Enumerate(const std::vector<Atom>& atoms, const Instance& db,
                             const MatcherOptions* options) {
   EnumerationResult result;
@@ -128,8 +129,12 @@ EnumerationResult Enumerate(const std::vector<Atom>& atoms, const Instance& db,
   };
   result.completed =
       options != nullptr
-          ? vqdr::ForEachMatch(atoms, db, Binding{}, collect, nullptr,
-                               *options)
+          ? vqdr::ForEachMatch(
+                atoms, db, Binding{},
+                [&collect](const vqdr::Match& m) {
+                  return collect(m.ToBinding());
+                },
+                nullptr, *options)
           : vqdr::oracle::ForEachMatch(atoms, db, Binding{}, collect);
   return result;
 }

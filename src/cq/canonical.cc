@@ -119,30 +119,26 @@ std::optional<std::map<Value, Value>> FindInstanceHomomorphism(
     initial.emplace(var_name(source), target);
   }
 
-  std::optional<Binding> found;
-  ForEachMatch(
-      atoms, to, initial,
-      [&found](const Binding& binding) {
-        found = binding;
-        return false;  // first match suffices
-      });
-  if (!found.has_value()) return std::nullopt;
-
-  std::map<Value, Value> hom;
-  for (Value v : from.ActiveDomain()) {
-    if (constants.count(v) > 0) {
-      hom[v] = v;
-      continue;
+  // The first match suffices: read it back value by value through its slots.
+  std::optional<std::map<Value, Value>> hom;
+  ForEachMatch(atoms, to, initial, [&](const Match& m) {
+    hom.emplace();
+    for (Value v : from.ActiveDomain()) {
+      if (constants.count(v) > 0) {
+        (*hom)[v] = v;
+        continue;
+      }
+      int slot = m.SlotOf(var_name(v));
+      if (slot >= 0) {
+        (*hom)[v] = m[static_cast<std::size_t>(slot)];
+      } else {
+        // Value fixed by `fixed` but not occurring in any fact.
+        auto fx = fixed.find(v);
+        (*hom)[v] = fx != fixed.end() ? fx->second : v;
+      }
     }
-    auto it = found->find(var_name(v));
-    if (it != found->end()) {
-      hom[v] = it->second;
-    } else {
-      // Value fixed by `fixed` but not occurring in any fact.
-      auto fx = fixed.find(v);
-      hom[v] = fx != fixed.end() ? fx->second : v;
-    }
-  }
+    return false;
+  });
   return hom;
 }
 

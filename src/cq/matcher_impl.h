@@ -41,7 +41,7 @@ struct MatchStats {
 // (on_match veto or budget stop).
 bool IndexedMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
-                  const std::function<bool(const Binding&)>& on_match,
+                  const std::function<bool(const Match&)>& on_match,
                   MatchStats& stats, guard::Budget* budget,
                   const MatcherOptions& options);
 

@@ -52,13 +52,17 @@ ConjunctiveQuery Normalize(const ConjunctiveQuery& q) {
 // The engine under test or the oracle.
 enum class Engine { kIndexed, kOracle };
 
-// Runs one engine over `atoms`; a false on_match return stops it.
+// Runs one engine over `atoms`; a false on_match return stops it. The
+// indexed engine's slot view is compared through its ToBinding() map.
 bool Run(Engine engine, const std::vector<Atom>& atoms, const Instance& db,
          const Binding& initial,
          const std::function<bool(const Binding&)>& on_match) {
-  return engine == Engine::kOracle
-             ? oracle::ForEachMatch(atoms, db, initial, on_match)
-             : ForEachMatch(atoms, db, initial, on_match);
+  if (engine == Engine::kOracle) {
+    return oracle::ForEachMatch(atoms, db, initial, on_match);
+  }
+  return ForEachMatch(atoms, db, initial, [&](const Match& m) {
+    return on_match(m.ToBinding());
+  });
 }
 
 // Full enumeration through one engine: the exact on_match sequence.
@@ -310,13 +314,19 @@ TEST(MatcherDifferential, DegenerateInputs) {
   EXPECT_TRUE(
       Enumerate(edge, narrow, Binding{}, Engine::kIndexed).empty());
 
-  // Pre-bound initial binding, satisfiable and not.
+  // Pre-bound initial binding, satisfiable and not; variables that only the
+  // initial binding mentions ride along into every match.
   Binding hit{{"x", Value(1)}};
   Binding miss{{"x", Value(7)}};
+  Binding extra{{"a", Value(5)}, {"x", Value(1)}, {"zz", Value(9)}};
   EXPECT_EQ(Enumerate(edge, db, hit, Engine::kOracle),
             Enumerate(edge, db, hit, Engine::kIndexed));
   EXPECT_EQ(Enumerate(edge, db, miss, Engine::kOracle),
             Enumerate(edge, db, miss, Engine::kIndexed));
+  EXPECT_EQ(Enumerate(edge, db, extra, Engine::kOracle),
+            Enumerate(edge, db, extra, Engine::kIndexed));
+  EXPECT_EQ(Enumerate({}, db, extra, Engine::kOracle),
+            Enumerate({}, db, extra, Engine::kIndexed));
 }
 
 // ---------------------------------------------------------------------------
@@ -348,8 +358,8 @@ TEST(MatcherDifferential, PruningTogglesPreserveSequence) {
       std::vector<Binding> got;
       ForEachMatch(
           q.atoms(), db, Binding{},
-          [&](const Binding& b) {
-            got.push_back(b);
+          [&](const Match& m) {
+            got.push_back(m.ToBinding());
             return true;
           },
           nullptr, options);

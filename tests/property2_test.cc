@@ -294,8 +294,8 @@ TEST_P(SeededProperty2, HomomorphismCompositionLaw) {
 
   std::optional<Binding> b;
   ForEachMatch(q1.atoms(), frozen.instance, Binding{},
-               [&b](const Binding& found) {
-                 b = found;
+               [&b](const Match& found) {
+                 b = found.ToBinding();
                  return false;
                });
   if (!b.has_value()) GTEST_SKIP() << "no hom Q1 -> [Q2]";
@@ -325,7 +325,7 @@ TEST_P(SeededProperty2, HomomorphismCompositionLaw) {
   }
 
   bool direct = false;
-  ForEachMatch(q1.atoms(), i, Binding{}, [&direct](const Binding&) {
+  ForEachMatch(q1.atoms(), i, Binding{}, [&direct](const Match&) {
     direct = true;
     return false;
   });
@@ -352,8 +352,8 @@ TEST_P(SeededProperty2, CanonicalInstanceIdentity) {
   // identity match: the frozen assignment IS a hom Q -> [Q].
   std::vector<Binding> matches;
   ForEachMatch(q.atoms(), frozen.instance, frozen.var_to_value,
-               [&matches](const Binding& found) {
-                 matches.push_back(found);
+               [&matches](const Match& found) {
+                 matches.push_back(found.ToBinding());
                  return true;
                });
   ASSERT_FALSE(matches.empty()) << q.ToString();

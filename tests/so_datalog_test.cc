@@ -118,6 +118,26 @@ TEST_F(SoDatalogFixture, DatalogTransitiveClosure) {
   EXPECT_TRUE(t->Contains(Tuple{pool_.Intern("a"), pool_.Intern("d")}));
 }
 
+// A user relation may have any identifier-shaped name, "__delta" included:
+// the evaluator's working relations (the semi-naïve deltas) must never
+// shadow one, or the closure below loses facts.
+TEST_F(SoDatalogFixture, DatalogUserRelationNamedLikeADelta) {
+  Instance path = Db("E(a, b), E(b, c), E(c, d), E(d, e), E(e, f)",
+                     Schema{{"E", 2}});
+  Instance renamed(Schema{{"__delta", 2}});
+  renamed.Set("__delta", path.Get("E"));
+  auto over_e = ParseDatalog(
+      "T(x, y) :- E(x, y); T(x, y) :- E(x, z), T(z, y)", pool_);
+  auto over_delta = ParseDatalog(
+      "T(x, y) :- __delta(x, y); T(x, y) :- __delta(x, z), T(z, y)", pool_);
+  ASSERT_TRUE(over_e.ok() && over_delta.ok());
+  auto t_e = over_e->Query(path, "T");
+  auto t_delta = over_delta->Query(renamed, "T");
+  ASSERT_TRUE(t_e.ok() && t_delta.ok());
+  EXPECT_EQ(t_e->size(), 15u);  // every forward pair of a 6-node path
+  EXPECT_EQ(t_delta->ToString(), t_e->ToString());
+}
+
 TEST_F(SoDatalogFixture, DatalogSemiNaiveMatchesOnCycle) {
   auto program = ParseDatalog(
       "T(x, y) :- E(x, y); T(x, y) :- T(x, z), T(z, y)", pool_);
