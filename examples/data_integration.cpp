@@ -68,7 +68,7 @@ int main() {
       Relation answer = EvaluateCq(*plan.rewriting, source_extents);
       std::cout << "  answer from sources: {";
       bool first = true;
-      for (const Tuple& t : answer.tuples()) {
+      for (TupleRef t : answer.tuples()) {
         if (!first) std::cout << ", ";
         first = false;
         std::cout << "(";

@@ -62,7 +62,7 @@ int main() {
       std::cout << "  -> answer (no source access): ";
       bool first = true;
       std::cout << "{";
-      for (const Tuple& t : answer.tuples()) {
+      for (TupleRef t : answer.tuples()) {
         if (!first) std::cout << ", ";
         first = false;
         std::cout << "(";

@@ -116,12 +116,13 @@ Instance ViewInverseImpl(const ViewSet& views, const Instance& base,
   }
 
   Instance s = views.Apply(base);
+  Tuple fact;  // reused across the facts added below
 
   for (const View& view : views.views()) {
     const ConjunctiveQuery& q = view.query.AsCq();
     const Relation& new_tuples = s_prime.Get(view.name);
     const Relation& old_tuples = s.Get(view.name);
-    for (const Tuple& y : new_tuples.tuples()) {
+    for (TupleRef y : new_tuples.tuples()) {
       if (old_tuples.Contains(y)) continue;  // already witnessed by base
       if (!guard::IsComplete(guard::Check(budget))) return result;
       VQDR_FAULT_ALLOC("chase.view_inverse");
@@ -158,8 +159,7 @@ Instance ViewInverseImpl(const ViewSet& views, const Instance& base,
         return v;
       };
       for (const Atom& atom : q.atoms()) {
-        Tuple fact;
-        fact.reserve(atom.args.size());
+        fact.clear();
         for (const Term& t : atom.args) fact.push_back(resolve(t));
         result.AddFact(atom.predicate, fact);
       }

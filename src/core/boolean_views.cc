@@ -79,7 +79,7 @@ BooleanDeterminacyResult DecideBooleanViewDeterminacy(
     // Refutation (i): an answer with a non-constant value is moved by a
     // value-shift, which Boolean views cannot see.
     bool has_nonconstant_answer = false;
-    for (const Tuple& t : q_on_min.tuples()) {
+    for (TupleRef t : q_on_min.tuples()) {
       for (Value v : t) {
         if (constants.count(v) == 0) has_nonconstant_answer = true;
       }

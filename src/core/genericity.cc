@@ -9,7 +9,7 @@ bool CheckAnswerDomainContained(const ViewSet& views, const Query& q,
   Instance image = views.Apply(d);
   std::set<Value> view_adom = image.ActiveDomain();
   Relation answer = q.Eval(d);
-  for (const Tuple& t : answer.tuples()) {
+  for (TupleRef t : answer.tuples()) {
     for (Value v : t) {
       if (view_adom.count(v) == 0) return false;
     }

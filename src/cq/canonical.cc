@@ -29,9 +29,9 @@ FrozenQuery Freeze(const ConjunctiveQuery& q, ValueFactory& factory) {
     return fresh;
   };
 
+  Tuple fact;  // reused across atoms
   for (const Atom& atom : q.atoms()) {
-    Tuple fact;
-    fact.reserve(atom.args.size());
+    fact.clear();
     for (const Term& t : atom.args) fact.push_back(freeze_term(t));
     result.instance.AddFact(atom.predicate, fact);
   }
@@ -76,7 +76,7 @@ ConjunctiveQuery InstanceToQuery(const Instance& instance, const Tuple& head,
 
   ConjunctiveQuery q(head_name, std::move(head_terms));
   for (const RelationDecl& decl : instance.schema().decls()) {
-    for (const Tuple& fact : instance.Get(decl.name).tuples()) {
+    for (TupleRef fact : instance.Get(decl.name).tuples()) {
       Atom atom;
       atom.predicate = decl.name;
       atom.args.reserve(fact.size());
@@ -95,7 +95,7 @@ std::optional<std::map<Value, Value>> FindInstanceHomomorphism(
   auto var_name = [](Value v) { return "h" + std::to_string(v.id); };
   std::vector<Atom> atoms;
   for (const RelationDecl& decl : from.schema().decls()) {
-    for (const Tuple& fact : from.Get(decl.name).tuples()) {
+    for (TupleRef fact : from.Get(decl.name).tuples()) {
       Atom atom;
       atom.predicate = decl.name;
       for (Value v : fact) {

@@ -14,7 +14,7 @@ obs::ExplainTerm ToExplainTerm(const Term& t) {
 std::vector<obs::ExplainFact> ToExplainFacts(const Instance& instance) {
   std::vector<obs::ExplainFact> facts;
   for (const RelationDecl& decl : instance.schema().decls()) {
-    for (const Tuple& tuple : instance.Get(decl.name).tuples()) {
+    for (TupleRef tuple : instance.Get(decl.name).tuples()) {
       obs::ExplainFact fact;
       fact.relation = decl.name;
       fact.tuple.reserve(tuple.size());

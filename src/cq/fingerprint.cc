@@ -392,7 +392,7 @@ std::unordered_map<Value, int> WlValueColorClasses(const Instance& instance) {
     std::vector<std::vector<std::uint64_t>> occ(dom.size());
     for (const RelationDecl& d : instance.schema().decls()) {
       std::uint64_t rel_hash = HashString(d.name);
-      for (const Tuple& t : instance.Get(d.name).tuples()) {
+      for (TupleRef t : instance.Get(d.name).tuples()) {
         for (std::size_t pos = 0; pos < t.size(); ++pos) {
           occ[index.at(t[pos])].push_back(Mix(rel_hash, pos));
         }
@@ -413,7 +413,7 @@ std::unordered_map<Value, int> WlValueColorClasses(const Instance& instance) {
     std::vector<std::vector<std::uint64_t>> occ(dom.size());
     for (const RelationDecl& d : instance.schema().decls()) {
       std::uint64_t rel_hash = HashString(d.name);
-      for (const Tuple& t : instance.Get(d.name).tuples()) {
+      for (TupleRef t : instance.Get(d.name).tuples()) {
         std::uint64_t tuple_hash = rel_hash;
         for (const Value& v : t) {
           tuple_hash = Mix(tuple_hash, colors[index.at(v)]);

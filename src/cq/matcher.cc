@@ -61,11 +61,9 @@ bool CompiledBody::Passes(const Match& m) {
   return true;
 }
 
-Tuple CompiledBody::Head(const Match& m) const {
-  Tuple out;
-  out.reserve(head_.size());
-  for (const SlotTerm& t : head_) out.push_back(Resolve(t, m));
-  return out;
+void CompiledBody::AppendHead(const Match& m, RowBuffer& out) const {
+  Value* row = out.AppendRow();
+  for (const SlotTerm& t : head_) *row++ = Resolve(t, m);
 }
 
 bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
@@ -112,10 +110,10 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
 
 namespace {
 
-// Appends the head image of every answer of `q` over `db` to `answers`
-// (see AppendCompacting); a Boolean query stops at its first answer.
+// Appends the head image of every answer of `q` over `db` to `answers`; a
+// Boolean query stops at its first answer.
 void CollectAnswers(const ConjunctiveQuery& q, const Instance& db,
-                    std::vector<Tuple>& answers) {
+                    RowBuffer& answers) {
   VQDR_COUNTER_INC("cq.eval.calls");
   VQDR_CHECK(q.IsSafe()) << "evaluating unsafe query: " << q.ToString();
   bool satisfiable = true;
@@ -130,7 +128,7 @@ void CollectAnswers(const ConjunctiveQuery& q, const Instance& db,
                    normalized.negated_atoms(), db);
     }
     if (!body->Passes(m)) return true;
-    AppendCompacting(answers, body->Head(m));
+    body->AppendHead(m, answers);
     return !boolean;
   });
 }
@@ -138,22 +136,22 @@ void CollectAnswers(const ConjunctiveQuery& q, const Instance& db,
 }  // namespace
 
 Relation EvaluateCq(const ConjunctiveQuery& q, const Instance& db) {
-  std::vector<Tuple> answers;
+  RowBuffer answers(q.head_arity());
   CollectAnswers(q, db, answers);
-  return Relation(q.head_arity(), std::move(answers));
+  return Relation(std::move(answers));
 }
 
 Relation EvaluateUcq(const UnionQuery& q, const Instance& db) {
   VQDR_CHECK(!q.empty()) << "evaluating empty UCQ";
-  std::vector<Tuple> answers;
+  RowBuffer answers(q.head_arity());
   for (const ConjunctiveQuery& disjunct : q.disjuncts()) {
     CollectAnswers(disjunct, db, answers);
   }
-  return Relation(q.head_arity(), std::move(answers));
+  return Relation(std::move(answers));
 }
 
 bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
-                      const Tuple& tuple, guard::Budget* budget,
+                      TupleRef tuple, guard::Budget* budget,
                       Binding* witness) {
   VQDR_COUNTER_INC("cq.answer_contains.calls");
   VQDR_CHECK_EQ(static_cast<int>(tuple.size()), q.head_arity());
@@ -199,7 +197,7 @@ bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
 
 bool CqHolds(const ConjunctiveQuery& q, const Instance& db) {
   VQDR_CHECK_EQ(q.head_arity(), 0) << "CqHolds on non-Boolean query";
-  return CqAnswerContains(q, db, Tuple{});
+  return CqAnswerContains(q, db, TupleRef());
 }
 
 }  // namespace vqdr

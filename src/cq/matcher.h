@@ -104,8 +104,8 @@ class CompiledBody {
   /// fact of `db`.
   bool Passes(const Match& m);
 
-  /// The head image of `m`.
-  Tuple Head(const Match& m) const;
+  /// Appends the head image of `m` to `out`.
+  void AppendHead(const Match& m, RowBuffer& out) const;
 
  private:
   // A term as a slot index, or -1 for the constant beside it.
@@ -145,7 +145,7 @@ Relation EvaluateUcq(const UnionQuery& q, const Instance& db);
 /// the query into db with head image `tuple` — the certificate the explain
 /// layer records and replays. Untouched on a false return.
 bool CqAnswerContains(const ConjunctiveQuery& q, const Instance& db,
-                      const Tuple& tuple, guard::Budget* budget = nullptr,
+                      TupleRef tuple, guard::Budget* budget = nullptr,
                       Binding* witness = nullptr);
 
 /// True iff the Boolean query is satisfied (head arity must be 0).

@@ -1,8 +1,8 @@
 // Indexed-join homomorphism engine (DESIGN.md §12).
 //
 // Replaces the naive scan-every-tuple backtracking join with:
-//   - per-(relation, argument-position) posting-list indexes, built lazily
-//     once per call and shared across the whole search;
+//   - per-(relation, argument-position) postings — row indices grouped by
+//     value — built lazily once per call and shared across the whole search;
 //   - bitset candidate domains: the candidates for an atom are the
 //     intersection of its structural base set (constants + intra-atom
 //     repeated-variable equality) with the posting lists of its bound
@@ -67,8 +67,6 @@ constexpr std::size_t kNoBit = static_cast<std::size_t>(-1);
 // Fixed-universe bitset over the tuple indices of one relation.
 class Bits {
  public:
-  std::size_t universe() const { return n_; }
-
   void InitZero(std::size_t n) {
     n_ = n;
     w_.assign((n + 63) / 64, 0);
@@ -102,12 +100,18 @@ class Bits {
     w_ = o.w_;  // vector assign reuses capacity across levels
   }
 
-  // this &= o; returns whether any bit survives. Universes must match.
-  bool AndWith(const Bits& o) {
+  // this &= the set of the ascending indices [first, last); returns whether
+  // any bit survives.
+  bool AndWithSorted(const std::uint32_t* first, const std::uint32_t* last) {
     std::uint64_t any = 0;
-    for (std::size_t i = 0; i < w_.size(); ++i) {
-      w_[i] &= o.w_[i];
-      any |= w_[i];
+    for (std::size_t wi = 0; wi < w_.size(); ++wi) {
+      const std::size_t word_end = (wi + 1) << 6;
+      std::uint64_t mask = 0;
+      for (; first != last && *first < word_end; ++first) {
+        mask |= 1ull << (*first & 63);
+      }
+      w_[wi] &= mask;
+      any |= w_[wi];
     }
     return any != 0;
   }
@@ -129,6 +133,58 @@ class Bits {
  private:
   std::size_t n_ = 0;
   std::vector<std::uint64_t> w_;
+};
+
+// The postings of one argument position of a relation: its row indices
+// grouped by the value at that position, groups in ascending value order
+// and rows ascending within a group. Group g holds the rows of value
+// keys[g], rows[starts[g]] up to rows[starts[g + 1]].
+struct Postings {
+  bool built = false;
+  std::vector<std::int64_t> keys;
+  std::vector<std::uint32_t> starts;
+  std::vector<std::uint32_t> rows;
+
+  void Build(const Relation& rel, std::size_t pos) {
+    built = true;
+    const Rows tuples = rel.tuples();
+    const std::size_t n = tuples.size();
+    rows.resize(n);
+    auto open_group = [&](std::int64_t key, std::size_t at) {
+      if (at == 0 || keys.back() != key) {
+        keys.push_back(key);
+        starts.push_back(static_cast<std::uint32_t>(at));
+      }
+    };
+    if (pos == 0) {
+      // Rows are sorted, so each first-position value's rows are already
+      // one ascending run.
+      for (std::size_t i = 0; i < n; ++i) {
+        rows[i] = static_cast<std::uint32_t>(i);
+        open_group(tuples[i][0].id, i);
+      }
+    } else {
+      std::vector<std::pair<std::int64_t, std::uint32_t>> by_value(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        by_value[i] = {tuples[i][pos].id, static_cast<std::uint32_t>(i)};
+      }
+      std::sort(by_value.begin(), by_value.end());
+      for (std::size_t i = 0; i < n; ++i) {
+        rows[i] = by_value[i].second;
+        open_group(by_value[i].first, i);
+      }
+    }
+    starts.push_back(static_cast<std::uint32_t>(n));
+  }
+
+  // Intersects `out` with the rows of `value`; returns whether any survive.
+  bool AndInto(std::int64_t value, Bits& out) const {
+    auto it = std::lower_bound(keys.begin(), keys.end(), value);
+    if (it == keys.end() || *it != value) return false;
+    const std::size_t g = static_cast<std::size_t>(it - keys.begin());
+    return out.AndWithSorted(rows.data() + starts[g],
+                             rows.data() + starts[g + 1]);
+  }
 };
 
 using Mask = std::uint64_t;
@@ -172,9 +228,9 @@ class Engine {
   struct RelInfo {
     const Relation* rel = nullptr;
     std::size_t size = 0;
-    // posts[pos][value id] = tuples with that value at that position.
-    std::vector<std::unordered_map<std::int64_t, Bits>> posts;
-    bool posts_built = false;
+    // One entry per argument position, each built on first use.
+    std::vector<Postings> posts;
+    bool posts_built = false;  // some position has been built
     int scans_left = kScansBeforeIndexing;
   };
 
@@ -278,10 +334,10 @@ class Engine {
         continue;
       }
       info.base.InitZero(r.size);
-      const std::vector<Tuple>& tuples = r.rel->tuples();
+      const Rows tuples = r.rel->tuples();
       bool any = false;
       for (std::size_t idx = 0; idx < tuples.size(); ++idx) {
-        const Tuple& t = tuples[idx];
+        const TupleRef t = tuples[idx];
         bool ok = true;
         for (std::size_t s = 0; ok && s < a.args.size(); ++s) {
           if (info.slot_var[s] < 0) {
@@ -305,20 +361,17 @@ class Engine {
     }
   }
 
-  void EnsurePosts(RelInfo& r) {
-    if (r.posts_built) return;
-    r.posts_built = true;
-    ++stats_.index_builds;
-    const std::vector<Tuple>& tuples = r.rel->tuples();
-    std::size_t arity = tuples.empty() ? 0 : tuples.front().size();
-    r.posts.resize(arity);
-    for (std::size_t idx = 0; idx < tuples.size(); ++idx) {
-      for (std::size_t pos = 0; pos < arity; ++pos) {
-        Bits& b = r.posts[pos][tuples[idx][pos].id];
-        if (b.universe() == 0) b.InitZero(r.size);
-        b.Set(idx);
-      }
+  // The postings of position `pos` of `r`, built on first use. The first
+  // build for a relation counts as its index build.
+  const Postings& PostsAt(RelInfo& r, std::size_t pos) {
+    if (!r.posts_built) {
+      r.posts_built = true;
+      ++stats_.index_builds;
+      r.posts.resize(static_cast<std::size_t>(r.rel->arity()));
     }
+    Postings& p = r.posts[pos];
+    if (!p.built) p.Build(*r.rel, pos);
+    return p;
   }
 
   // Candidate domain of atom `ai` under the current partial binding:
@@ -345,11 +398,11 @@ class Engine {
       }
       if (!any_bound) return out.Any();
       ++stats_.index_lookups;
-      const std::vector<Tuple>& tuples = r.rel->tuples();
+      const Rows tuples = r.rel->tuples();
       bool nonempty = false;
       for (std::size_t idx = out.FindNext(0); idx != kNoBit;
            idx = out.FindNext(idx + 1)) {
-        const Tuple& t = tuples[idx];
+        const TupleRef t = tuples[idx];
         bool ok = true;
         for (std::size_t s = 0; ok && s < info.slot_var.size(); ++s) {
           int v = info.slot_var[s];
@@ -369,12 +422,9 @@ class Engine {
       if (v < 0 || !bound_[v]) continue;
       *cs |= LevelBit(level_of_[v]);
       if (!nonempty) continue;
-      EnsurePosts(r);
+      const Postings& posts = PostsAt(r, s);
       ++stats_.index_lookups;
-      auto it = r.posts[s].find(val_[v].id);
-      if (it == r.posts[s].end() || !out.AndWith(it->second)) {
-        nonempty = false;
-      }
+      if (!posts.AndInto(val_[v].id, out)) nonempty = false;
     }
     return nonempty;
   }
@@ -395,7 +445,7 @@ class Engine {
 
   // Counts one refuted candidate of atom `ai` and, once symmetry breaking is
   // live, remembers its signature so symmetric siblings are skipped.
-  void NoteRefuted(int ai, const Tuple& tuple, Level& lv) {
+  void NoteRefuted(int ai, TupleRef tuple, Level& lv) {
     ++refuted_;
     if (SymReady()) {
       ComputeSig(ai, tuple, sig_scratch_);
@@ -406,21 +456,21 @@ class Engine {
   // Exact check: is the transposition (u v) an automorphism of db? A
   // transposition is an involution, so mapping every touched tuple back into
   // its relation is both necessary and sufficient.
-  bool TranspositionIsAutomorphism(Value u, Value v) const {
+  bool TranspositionIsAutomorphism(Value u, Value v) {
     for (const RelationDecl& decl : db_.schema().decls()) {
       const Relation& rel = db_.Get(decl.name);
-      for (const Tuple& t : rel.tuples()) {
+      for (TupleRef t : rel.tuples()) {
         bool touched = false;
-        for (const Value& x : t) {
+        for (Value x : t) {
           if (x == u || x == v) {
             touched = true;
             break;
           }
         }
         if (!touched) continue;
-        Tuple mapped = t;
-        for (Value& x : mapped) x = x == u ? v : (x == v ? u : x);
-        if (!rel.Contains(mapped)) return false;
+        mapped_.assign(t.begin(), t.end());
+        for (Value& x : mapped_) x = x == u ? v : (x == v ? u : x);
+        if (!rel.Contains(mapped_)) return false;
       }
     }
     return true;
@@ -512,7 +562,7 @@ class Engine {
   // BEFORE its free slots are bound. Two candidates with equal signatures
   // are images of each other under an automorphism fixing every pinned
   // value, so their subtrees succeed or fail together.
-  void ComputeSig(int ai, const Tuple& t, std::vector<std::int64_t>& out) const {
+  void ComputeSig(int ai, TupleRef t, std::vector<std::int64_t>& out) const {
     const AtomInfo& info = atom_info_[ai];
     out.clear();
     for (std::size_t s = 0; s < t.size(); ++s) {
@@ -543,7 +593,7 @@ class Engine {
 
   // ---------- search ----------
 
-  void BindCandidate(int ai, const Tuple& t, int depth, Level& lv) {
+  void BindCandidate(int ai, TupleRef t, int depth, Level& lv) {
     const AtomInfo& info = atom_info_[ai];
     lv.newly_bound.clear();
     for (std::size_t s = 0; s < t.size(); ++s) {
@@ -638,7 +688,7 @@ class Engine {
       for (std::size_t idx = lv.cand.FindNext(0); idx != kNoBit;
            idx = lv.cand.FindNext(idx + 1)) {
         ++attempts;
-        const Tuple& tuple = r.rel->tuples()[idx];
+        const TupleRef tuple = r.rel->tuples()[idx];
         if (!lv.failed_sigs.empty()) {
           ComputeSig(best, tuple, sig_scratch_);
           if (lv.failed_sigs.count(sig_scratch_) != 0) {
@@ -712,6 +762,7 @@ class Engine {
   std::vector<char> matched_;
   std::vector<Level> levels_;
   std::vector<std::int64_t> sig_scratch_;
+  Tuple mapped_;  // TranspositionIsAutomorphism's image of a row
 
   // 0 = not yet built, 1 = built and non-trivial, 2 = unavailable.
   int sym_state_ = 0;

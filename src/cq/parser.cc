@@ -438,7 +438,7 @@ std::string InstanceToString(const Instance& instance, const NamePool& pool) {
     if (rel.tuples().empty()) continue;
     out << "  ";
     bool first = true;
-    for (const Tuple& t : rel.tuples()) {
+    for (TupleRef t : rel.tuples()) {
       if (!first) out << ", ";
       first = false;
       out << d.name << "(";

@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "base/check.h"
 
@@ -52,11 +53,11 @@ void Instance::Set(const std::string& name, Relation relation) {
   relations_[name] = std::move(relation);
 }
 
-bool Instance::AddFact(const std::string& name, const Tuple& t) {
+bool Instance::AddFact(const std::string& name, TupleRef t) {
   return GetMutable(name).Insert(t);
 }
 
-bool Instance::HasFact(const std::string& name, const Tuple& t) const {
+bool Instance::HasFact(const std::string& name, TupleRef t) const {
   return Get(name).Contains(t);
 }
 
@@ -69,7 +70,7 @@ std::set<Value> Instance::ActiveDomain() const {
 std::int64_t Instance::MaxValueId() const {
   std::int64_t max_id = 0;
   for (const auto& [name, rel] : relations_) {
-    for (const Tuple& t : rel.tuples()) {
+    for (TupleRef t : rel.tuples()) {
       for (Value v : t) max_id = std::max(max_id, v.id);
     }
   }
@@ -131,8 +132,11 @@ bool Instance::IsExtendedBy(const Instance& other) const {
 Instance Instance::RestrictTo(const std::set<Value>& universe) const {
   Instance result(schema_);
   for (const auto& [name, rel] : relations_) {
-    Relation filtered(rel.arity());
-    for (const Tuple& t : rel.tuples()) {
+    // A filtered sorted relation is still sorted: the constructor's sort
+    // finds nothing to do.
+    RowBuffer filtered(rel.arity());
+    filtered.Reserve(rel.size());
+    for (TupleRef t : rel.tuples()) {
       bool inside = true;
       for (Value v : t) {
         if (universe.find(v) == universe.end()) {
@@ -140,9 +144,9 @@ Instance Instance::RestrictTo(const std::set<Value>& universe) const {
           break;
         }
       }
-      if (inside) filtered.Insert(t);
+      if (inside) filtered.Append(t);
     }
-    result.Set(name, filtered);
+    result.Set(name, Relation(std::move(filtered)));
   }
   return result;
 }
@@ -150,10 +154,13 @@ Instance Instance::RestrictTo(const std::set<Value>& universe) const {
 bool operator==(const Instance& a, const Instance& b) {
   Schema all = a.schema_.UnionWith(b.schema_);
   for (const RelationDecl& d : all.decls()) {
-    const Relation& ra =
-        a.schema_.Contains(d.name) ? a.Get(d.name) : Relation(d.arity);
-    const Relation& rb =
-        b.schema_.Contains(d.name) ? b.Get(d.name) : Relation(d.arity);
+    // Both arms are lvalues, so neither relation is copied.
+    const Relation& ra = a.schema_.Contains(d.name)
+                             ? a.Get(d.name)
+                             : EmptyRelationOfArity(d.arity);
+    const Relation& rb = b.schema_.Contains(d.name)
+                             ? b.Get(d.name)
+                             : EmptyRelationOfArity(d.arity);
     if (ra != rb) return false;
   }
   return true;
@@ -169,7 +176,7 @@ std::string Instance::ToKey() const {
     const Relation& rel = Get(d.name);
     if (rel.empty()) continue;
     out << d.name << "=";
-    for (const Tuple& t : rel.tuples()) {
+    for (TupleRef t : rel.tuples()) {
       out << "(";
       for (std::size_t i = 0; i < t.size(); ++i) {
         if (i > 0) out << ",";

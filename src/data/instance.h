@@ -2,6 +2,7 @@
 #define VQDR_DATA_INSTANCE_H_
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -35,10 +36,15 @@ class Instance {
   void Set(const std::string& name, Relation relation);
 
   /// Inserts a fact; shorthand for GetMutable(name).Insert(t).
-  bool AddFact(const std::string& name, const Tuple& t);
+  bool AddFact(const std::string& name, TupleRef t);
+
+  /// AddFact for a fact written as a braced list of values.
+  bool AddFact(const std::string& name, std::initializer_list<Value> t) {
+    return AddFact(name, TupleRef(t.begin(), t.size()));
+  }
 
   /// True if the fact is present.
-  bool HasFact(const std::string& name, const Tuple& t) const;
+  bool HasFact(const std::string& name, TupleRef t) const;
 
   /// The active domain adom(D): every value occurring in some tuple.
   std::set<Value> ActiveDomain() const;

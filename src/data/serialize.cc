@@ -38,7 +38,7 @@ bool DecodeSchema(wire::Decoder& dec, Schema* out) {
   return true;
 }
 
-void EncodeTuple(const Tuple& tuple, wire::Encoder& enc) {
+void EncodeTuple(TupleRef tuple, wire::Encoder& enc) {
   enc.U64(tuple.size());
   for (Value v : tuple) enc.I64(v.id);
 }
@@ -67,7 +67,7 @@ void EncodeInstance(const Instance& instance, wire::Encoder& enc) {
     enc.Str(decl.name);
     enc.U64(rel.size());
     // Tuples share the relation arity, so values are written flat.
-    for (const Tuple& tuple : rel.tuples()) {
+    for (TupleRef tuple : rel.tuples()) {
       for (Value v : tuple) enc.I64(v.id);
     }
   }
@@ -87,14 +87,23 @@ bool DecodeInstance(wire::Decoder& dec, Instance* out) {
     if (!arity.has_value()) return false;
     std::size_t width = static_cast<std::size_t>(*arity);
     if (!dec.CheckCount(tuples, width * 8)) return false;
+    // Rows arrive sorted from EncodeInstance, so building the relation
+    // sorts nothing; a forged payload is sorted and deduplicated like any
+    // batch.
+    RowBuffer rows(*arity);
+    rows.Reserve(static_cast<std::size_t>(tuples));
     for (std::uint64_t t = 0; t < tuples; ++t) {
-      Tuple tuple;
-      tuple.reserve(width);
-      for (std::size_t i = 0; i < width; ++i) {
-        tuple.push_back(Value(dec.I64()));
-      }
+      Value* row = rows.AppendRow();
+      for (std::size_t i = 0; i < width; ++i) row[i] = Value(dec.I64());
       if (!dec.ok()) return false;
-      instance.AddFact(name, tuple);
+    }
+    if (tuples == 0) continue;
+    // A name repeated in a forged payload adds to what it named before.
+    Relation& target = instance.GetMutable(name);
+    if (target.empty()) {
+      target = Relation(std::move(rows));
+    } else {
+      target.InsertNew(Relation(std::move(rows)));
     }
   }
   *out = std::move(instance);

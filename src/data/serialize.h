@@ -22,7 +22,7 @@ namespace vqdr {
 void EncodeSchema(const Schema& schema, wire::Encoder& enc);
 bool DecodeSchema(wire::Decoder& dec, Schema* out);
 
-void EncodeTuple(const Tuple& tuple, wire::Encoder& enc);
+void EncodeTuple(TupleRef tuple, wire::Encoder& enc);
 bool DecodeTuple(wire::Decoder& dec, Tuple* out);
 
 void EncodeInstance(const Instance& instance, wire::Encoder& enc);

@@ -11,7 +11,7 @@ Tuple MakeTuple(std::initializer_list<std::int64_t> ids) {
   return t;
 }
 
-std::string TupleToString(const Tuple& t) {
+std::string TupleToString(TupleRef t) {
   std::ostringstream out;
   out << "(";
   for (std::size_t i = 0; i < t.size(); ++i) {

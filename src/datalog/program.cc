@@ -18,16 +18,16 @@ namespace {
 // atom reading a delta relation — over `db`. Returns the derived head facts.
 Relation FireRule(const DatalogRule& rule, const std::vector<Atom>& atoms,
                   const Instance& db) {
-  std::vector<Tuple> derived;
+  RowBuffer derived(rule.head.arity());
   std::optional<CompiledBody> body;
   ForEachMatch(atoms, db, Binding{}, [&](const Match& m) {
     if (!body.has_value()) {
       body.emplace(m, rule.head.args, rule.disequalities, rule.negated, db);
     }
-    if (body->Passes(m)) AppendCompacting(derived, body->Head(m));
+    if (body->Passes(m)) body->AppendHead(m, derived);
     return true;
   });
-  return Relation(rule.head.arity(), std::move(derived));
+  return Relation(std::move(derived));
 }
 
 // A prefix no relation name of `schema` starts with, so a delta relation

@@ -1,5 +1,7 @@
 #include "fo/evaluator.h"
 
+#include <array>
+#include <utility>
 #include <vector>
 
 #include "base/check.h"
@@ -36,10 +38,19 @@ bool EvalRec(const FoFormula& f, const Instance& db,
     case Kind::kAtom: {
       const Atom& atom = f.atom();
       if (!db.schema().Contains(atom.predicate)) return false;
-      Tuple ground;
-      ground.reserve(atom.args.size());
-      for (const Term& t : atom.args) ground.push_back(Resolve(t, binding));
-      return db.HasFact(atom.predicate, ground);
+      // The probe row lives on the stack; only atoms of more than eight
+      // arguments spill to the heap.
+      std::array<Value, 8> stack_row;
+      Tuple heap_row;
+      Value* row = stack_row.data();
+      if (atom.args.size() > stack_row.size()) {
+        heap_row.resize(atom.args.size());
+        row = heap_row.data();
+      }
+      for (std::size_t i = 0; i < atom.args.size(); ++i) {
+        row[i] = Resolve(atom.args[i], binding);
+      }
+      return db.HasFact(atom.predicate, TupleRef(row, atom.args.size()));
     }
     case Kind::kEquals:
       return Resolve(f.lhs(), binding) == Resolve(f.rhs(), binding);
@@ -136,24 +147,21 @@ Relation EvaluateFo(const FoQuery& q, const Instance& db) {
   }
 
   std::vector<Value> range = QuantificationRange(q.formula, db);
-  Relation result(q.head_arity());
+  RowBuffer answers(q.head_arity());
   if (q.free_vars.empty()) {
-    if (FoSentenceHolds(q.formula, db)) result.Insert(Tuple{});
-    return result;
+    if (FoSentenceHolds(q.formula, db)) answers.AppendRow();
+    return Relation(std::move(answers));
   }
-  if (range.empty()) return result;
+  if (range.empty()) return Relation(std::move(answers));
 
+  // EvalRec restores every variable it binds before it returns, so each
+  // assignment is evaluated in place.
   std::map<std::string, Value> binding;
   std::function<void(std::size_t)> loop = [&](std::size_t i) {
     if (i == q.free_vars.size()) {
-      std::map<std::string, Value> local = binding;
-      if (EvalRec(*q.formula, db, local, range)) {
-        Tuple answer;
-        answer.reserve(q.free_vars.size());
-        for (const std::string& v : q.free_vars) {
-          answer.push_back(binding.at(v));
-        }
-        result.Insert(answer);
+      if (EvalRec(*q.formula, db, binding, range)) {
+        Value* row = answers.AppendRow();
+        for (const std::string& v : q.free_vars) *row++ = binding.at(v);
       }
       return;
     }
@@ -164,7 +172,7 @@ Relation EvaluateFo(const FoQuery& q, const Instance& db) {
     binding.erase(q.free_vars[i]);
   };
   loop(0);
-  return result;
+  return Relation(std::move(answers));
 }
 
 }  // namespace vqdr

@@ -9,8 +9,6 @@ namespace vqdr::obs {
 
 namespace internal {
 
-thread_local OpSlot* t_current_op = nullptr;
-
 void BindOpToThread(OpSlot* op) {
   t_current_op = op;
   vqdr::obs::internal::t_op_cells = op != nullptr ? &op->cells : nullptr;

@@ -124,7 +124,7 @@ struct ThreadSlot {
   std::array<std::atomic<const char*>, kThreadStackDepth> names{};
 };
 
-extern thread_local OpSlot* t_current_op;
+inline thread_local OpSlot* t_current_op = nullptr;
 
 /// The calling thread's slot, registering one on first use.
 ThreadSlot* EnsureThreadSlot();

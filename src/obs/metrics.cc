@@ -87,10 +87,6 @@ Counter& GetCounter(std::string_view name) {
   return *it->second;
 }
 
-namespace internal {
-thread_local OpMetricCells* t_op_cells = nullptr;
-}  // namespace internal
-
 CounterSite GetCounterSite(std::string_view name) {
   Registry& r = Registry::Get();
   std::lock_guard<std::mutex> lock(r.mu);

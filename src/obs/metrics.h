@@ -128,7 +128,7 @@ namespace internal {
 /// Cells of the operation the calling thread is currently bound to, or null.
 /// Managed exclusively by obs/context.h scopes; everyone else reads it
 /// implicitly through OpCounterAdd.
-extern thread_local OpMetricCells* t_op_cells;
+inline thread_local OpMetricCells* t_op_cells = nullptr;
 }  // namespace internal
 
 /// Mirrors `n` into the bound operation's cell for counter id `id` (no-op

@@ -106,7 +106,7 @@ std::string EncodeGraph(const Relation& edges,
   }
   std::size_t n = ranked.size();
   std::string enc(n * n, '0');
-  for (const Tuple& e : edges.tuples()) {
+  for (TupleRef e : edges.tuples()) {
     auto i = rank.find(e[0]);
     auto j = rank.find(e[1]);
     VQDR_CHECK(i != rank.end() && j != rank.end())
@@ -249,7 +249,7 @@ bool VerifyComputationInstance(const SimpleTm& tm, const Instance& d) {
   // grid[i][j]: the cell value, if present.
   std::vector<std::vector<std::optional<Value>>> grid(
       n, std::vector<std::optional<Value>>(n));
-  for (const Tuple& t : trace.tuples()) {
+  for (TupleRef t : trace.tuples()) {
     auto i = rank.find(t[0]);
     auto j = rank.find(t[1]);
     if (i == rank.end() || j == rank.end()) return false;

@@ -80,7 +80,7 @@ TEST(InstanceToQuery, NegativeAndPositiveIdsGetDistinctVariables) {
   // The identity assignment satisfies the query on db: the head value 2 is
   // among the answers.
   Relation answers = EvaluateCq(q, db);
-  EXPECT_TRUE(answers.Contains({Value(2)})) << q.ToString();
+  EXPECT_TRUE(answers.Contains(Tuple{Value(2)})) << q.ToString();
 }
 
 TEST(InstanceToQuery, GeneratedVariableCannotCaptureAConstantNamedV1) {
@@ -110,8 +110,8 @@ TEST(InstanceToQuery, GeneratedVariableCannotCaptureAConstantNamedV1) {
   other.AddFact("E", {Value(5), c});
   other.AddFact("E", {Value(6), Value(3)});
   Relation answers = EvaluateCq(q, other);
-  EXPECT_TRUE(answers.Contains({Value(5)}));
-  EXPECT_FALSE(answers.Contains({Value(6)}));
+  EXPECT_TRUE(answers.Contains(Tuple{Value(5)}));
+  EXPECT_FALSE(answers.Contains(Tuple{Value(6)}));
 }
 
 TEST(InstanceToQuery, RoundTripThroughFreezeIsEquivalent) {
@@ -175,7 +175,7 @@ TEST(ViewInverse, FreshValuesNeverCollideWithViewDefinitionConstants) {
   Instance result = ViewInverse(views, base, s_prime, factory);
 
   // Every R-fact is (head value, fresh null); no null may equal 15.
-  for (const Tuple& fact : result.Get("R").tuples()) {
+  for (TupleRef fact : result.Get("R").tuples()) {
     ASSERT_EQ(fact.size(), 2u);
     EXPECT_NE(fact[1], Value(15))
         << "fresh chase value aliases the view constant 15";

@@ -173,7 +173,7 @@ TEST_F(CqFixture, FreezeKeepsConstants) {
   ValueFactory factory;
   FrozenQuery frozen = Freeze(q, factory);
   ASSERT_EQ(frozen.instance.Get("R").size(), 1u);
-  const Tuple& fact = frozen.instance.Get("R").tuples()[0];
+  TupleRef fact = frozen.instance.Get("R").tuples()[0];
   EXPECT_EQ(fact[1], C("a"));
   EXPECT_NE(fact[0], C("a"));  // variable frozen to a fresh value
 }

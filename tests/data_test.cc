@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "base/rng.h"
 #include "data/instance.h"
@@ -61,23 +65,24 @@ TEST(RelationTest, ApplyMergesCollisions) {
   EXPECT_TRUE(image.Contains(MakeTuple({1, 2})));
 }
 
-// A buffer fed many duplicates through AppendCompacting (so it compacts
-// several times) never holds more than about twice its distinct tuples, and
-// builds the relation one sorted insert per tuple would, at every arity.
-TEST(RelationTest, AppendCompactingMatchesPerTupleInserts) {
+// A buffer fed many duplicates (so it compacts several times) never holds
+// more than max(64, 2 × distinct) rows, and builds the relation one sorted
+// insert per tuple would, at every arity, including the wide rows sorted
+// through an index permutation.
+TEST(RelationTest, RowBufferMatchesPerTupleInserts) {
   Rng rng(11);
-  for (int arity : {0, 1, 2, 3}) {
-    std::vector<Tuple> buffer;
+  for (int arity : {0, 1, 2, 3, 4, 5}) {
+    RowBuffer buffer(arity);
     Relation expected(arity);
     for (int i = 0; i < 2000; ++i) {
       Tuple t;
       for (int a = 0; a < arity; ++a) t.push_back(Value(rng.Range(1, 7)));
-      AppendCompacting(buffer, t);
+      buffer.Append(t);
       expected.Insert(t);
       EXPECT_LE(buffer.size(), std::max<std::size_t>(64, 2 * expected.size()))
           << "arity " << arity << ", tuple " << i;
     }
-    EXPECT_EQ(Relation(arity, std::move(buffer)), expected) << "arity " << arity;
+    EXPECT_EQ(Relation(std::move(buffer)), expected) << "arity " << arity;
   }
 }
 
@@ -90,6 +95,204 @@ TEST(RelationTest, InsertNewMergesAndReturnsOnlyNewTuples) {
                             MakeTuple({5}), MakeTuple({6})}));
   EXPECT_TRUE(r.InsertNew(Relation(1, {MakeTuple({5})})).empty());
 }
+
+// Model test: random operations applied to a Relation and to a
+// std::set<Tuple>, over arities 0-5, must agree after every step on the
+// contents, iteration order, size(), ==, < and ToString().
+class RelationModelTest : public ::testing::TestWithParam<int> {
+ protected:
+  using Model = std::set<Tuple>;
+
+  Tuple RandomTuple() {
+    Tuple t;
+    for (int a = 0; a < arity_; ++a) t.push_back(Value(rng_.Range(1, 4)));
+    return t;
+  }
+
+  // A relation built from a buffer of random rows, repeats included.
+  Relation RandomRelation(Model* model) {
+    RowBuffer rows(arity_);
+    int n = static_cast<int>(rng_.Range(0, 12));
+    for (int i = 0; i < n; ++i) {
+      Tuple t = RandomTuple();
+      rows.Append(t);
+      model->insert(t);
+    }
+    return Relation(std::move(rows));
+  }
+
+  static std::string ModelString(const Model& m, int arity) {
+    if (arity == 0) return m.empty() ? "false" : "true";
+    std::string out = "{";
+    for (const Tuple& t : m) {
+      if (out.size() > 1) out += ", ";
+      out += TupleToString(t);
+    }
+    return out + "}";
+  }
+
+  void ExpectSame(const Relation& r, const Model& m) {
+    ASSERT_EQ(r.arity(), arity_);
+    ASSERT_EQ(r.size(), m.size());
+    EXPECT_EQ(r.empty(), m.empty());
+    EXPECT_EQ(r.tuples().size(), m.size());
+    std::size_t i = 0;
+    for (TupleRef t : r.tuples()) {
+      ASSERT_EQ(t.size(), static_cast<std::size_t>(arity_));
+      EXPECT_EQ(t, r.tuples()[i]);
+      ++i;
+    }
+    auto it = m.begin();
+    for (TupleRef t : r.tuples()) {
+      EXPECT_EQ(t, *it);
+      EXPECT_TRUE(r.Contains(t));
+      ++it;
+    }
+    EXPECT_EQ(r.ToString(), ModelString(m, arity_));
+    EXPECT_EQ(r, Relation(arity_, std::vector<Tuple>(m.begin(), m.end())));
+  }
+
+  // == and < against a second relation agree with the models'.
+  void ExpectSameOrder(const Relation& a, const Model& ma, const Relation& b,
+                       const Model& mb) {
+    EXPECT_EQ(a == b, ma == mb);
+    EXPECT_EQ(a != b, ma != mb);
+    EXPECT_EQ(a < b, ma < mb);
+    EXPECT_EQ(b < a, mb < ma);
+  }
+
+  Rng rng_{0};
+  int arity_ = 0;
+};
+
+TEST_P(RelationModelTest, RandomOperationsMatchSetModel) {
+  arity_ = GetParam();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    rng_ = Rng(seed * 1000 + static_cast<std::uint64_t>(arity_));
+    Model model;
+    Relation r = RandomRelation(&model);
+    ExpectSame(r, model);
+    for (int step = 0; step < 60; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", step " +
+                   std::to_string(step));
+      Model other_model;
+      Relation other = RandomRelation(&other_model);
+      ExpectSameOrder(r, model, other, other_model);
+      switch (rng_.Range(0, 11)) {
+        case 0: {
+          Tuple t = RandomTuple();
+          EXPECT_EQ(r.Insert(t), model.insert(t).second);
+          break;
+        }
+        case 1: {
+          Tuple t = RandomTuple();
+          EXPECT_EQ(r.Erase(t), model.erase(t) == 1);
+          break;
+        }
+        case 2: {
+          Tuple t = RandomTuple();
+          EXPECT_EQ(r.Contains(t), model.count(t) == 1);
+          break;
+        }
+        case 3: {
+          Model added_model;
+          for (const Tuple& t : other_model) {
+            if (model.insert(t).second) added_model.insert(t);
+          }
+          Relation added = r.InsertNew(other);
+          ExpectSame(added, added_model);
+          break;
+        }
+        case 4: {
+          r = r.Union(other);
+          model.insert(other_model.begin(), other_model.end());
+          break;
+        }
+        case 5: {
+          Model kept;
+          std::set_intersection(model.begin(), model.end(),
+                                other_model.begin(), other_model.end(),
+                                std::inserter(kept, kept.end()));
+          r = r.Intersect(other);
+          model = kept;
+          break;
+        }
+        case 6: {
+          Model kept;
+          std::set_difference(model.begin(), model.end(), other_model.begin(),
+                              other_model.end(),
+                              std::inserter(kept, kept.end()));
+          r = r.Difference(other);
+          model = kept;
+          break;
+        }
+        case 7: {
+          auto includes = [](const Model& big, const Model& small) {
+            return std::includes(big.begin(), big.end(), small.begin(),
+                                 small.end());
+          };
+          EXPECT_EQ(r.IsSubsetOf(other), includes(other_model, model));
+          EXPECT_EQ(other.IsSubsetOf(r), includes(model, other_model));
+          EXPECT_TRUE(r.IsSubsetOf(r));
+          break;
+        }
+        case 8: {
+          std::set<Value> universe;
+          for (std::int64_t v = 1; v <= 4; ++v) {
+            if (rng_.Range(0, 2) != 0) universe.insert(Value(v));
+          }
+          Instance d(Schema{{"R", arity_}});
+          d.Set("R", r);
+          r = d.RestrictTo(universe).Get("R");
+          Model kept;
+          for (const Tuple& t : model) {
+            if (std::all_of(t.begin(), t.end(), [&](Value v) {
+                  return universe.count(v) == 1;
+                })) {
+              kept.insert(t);
+            }
+          }
+          model = kept;
+          break;
+        }
+        case 9: {
+          // Collapses two values into one, so rows collide.
+          std::int64_t from = rng_.Range(1, 4);
+          std::int64_t to = rng_.Range(1, 4);
+          auto map = [&](Value v) { return v.id == from ? Value(to) : v; };
+          r = r.Apply(map);
+          Model mapped;
+          for (Tuple t : model) {
+            for (Value& v : t) v = map(v);
+            mapped.insert(t);
+          }
+          model = mapped;
+          break;
+        }
+        case 10: {
+          // Self-aliasing: the row is one of the relation's own.
+          if (r.empty()) break;
+          std::size_t i =
+              static_cast<std::size_t>(rng_.Range(0, r.size() - 1));
+          EXPECT_FALSE(r.Insert(r.tuples()[i]));
+          break;
+        }
+        case 11: {
+          if (r.empty()) break;
+          Tuple front = r.tuples().front();
+          EXPECT_TRUE(r.Erase(r.tuples().front()));
+          model.erase(front);
+          break;
+        }
+      }
+      ExpectSame(r, model);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Arities, RelationModelTest,
+                         ::testing::Values(0, 1, 2, 3, 4, 5));
 
 TEST(SchemaTest, ArityLookupAndUnion) {
   Schema s{{"R", 2}, {"P", 0}};

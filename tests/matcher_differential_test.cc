@@ -390,7 +390,7 @@ TEST(MatcherDifferential, WitnessesIdenticalAndReplayable) {
     Instance db = RandomInstance(qopt.schema, rng, iopt);
 
     Relation answers = EvaluateCq(q, db);
-    for (const Tuple& t : answers.tuples()) {
+    for (TupleRef t : answers.tuples()) {
       std::optional<Binding> oracle_witness = OracleWitness(q, db, t);
       Binding indexed_witness;
       bool indexed_found =
@@ -427,7 +427,7 @@ std::optional<std::map<Value, Value>> OracleInstanceHomomorphism(
   auto var = [](Value v) { return "h" + std::to_string(v.id); };
   std::vector<Atom> atoms;
   for (const RelationDecl& decl : from.schema().decls()) {
-    for (const Tuple& fact : from.Get(decl.name).tuples()) {
+    for (TupleRef fact : from.Get(decl.name).tuples()) {
       Atom atom{decl.name, {}};
       for (Value v : fact) atom.args.push_back(Term::Var(var(v)));
       atoms.push_back(std::move(atom));

@@ -53,7 +53,7 @@ bool MatchRec(const std::vector<Atom>& atoms, const Instance& db,
   const Relation& rel = db.Get(atom.predicate);
 
   bool keep_going = true;
-  for (const Tuple& tuple : rel.tuples()) {
+  for (TupleRef tuple : rel.tuples()) {
     // Try to extend the binding so that atom maps to this tuple.
     std::vector<std::pair<std::string, Value>> added;
     bool consistent = true;

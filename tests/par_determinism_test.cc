@@ -110,11 +110,11 @@ TEST(ParDeterminism, ExaminedCountPinnedOnConflictWorkload) {
     // d1 = {E(1,1)}, d2 = {E(1,2)}.
     Instance d1(base);
     Relation r1(2);
-    r1.Insert({Value(1), Value(1)});
+    r1.Insert(Tuple{Value(1), Value(1)});
     d1.Set("E", r1);
     Instance d2(base);
     Relation r2(2);
-    r2.Insert({Value(1), Value(2)});
+    r2.Insert(Tuple{Value(1), Value(2)});
     d2.Set("E", r2);
     EXPECT_EQ(result.counterexample->d1, d1);
     EXPECT_EQ(result.counterexample->d2, d2);

@@ -58,7 +58,7 @@ TEST_P(SeededProperty2, InstanceParserRoundTrip) {
   std::ostringstream facts;
   bool first = true;
   for (const RelationDecl& decl : schema.decls()) {
-    for (const Tuple& t : d.Get(decl.name).tuples()) {
+    for (TupleRef t : d.Get(decl.name).tuples()) {
       if (!first) facts << ", ";
       first = false;
       facts << decl.name << "(";
@@ -377,7 +377,7 @@ TEST_P(SeededProperty2, MatchVerdictsInvariantUnderIsomorphicRenaming) {
   auto rename = [](Value v) { return Value(v.id + 1000); };
   Instance renamed(d.schema());
   for (const RelationDecl& decl : d.schema().decls()) {
-    for (const Tuple& t : d.Get(decl.name).tuples()) {
+    for (TupleRef t : d.Get(decl.name).tuples()) {
       Tuple image;
       for (Value v : t) image.push_back(rename(v));
       renamed.AddFact(decl.name, image);
@@ -388,7 +388,7 @@ TEST_P(SeededProperty2, MatchVerdictsInvariantUnderIsomorphicRenaming) {
   Relation mapped = EvaluateCq(q, renamed);
   ASSERT_EQ(original.tuples().size(), mapped.tuples().size());
   Relation expected(original.arity());
-  for (const Tuple& t : original.tuples()) {
+  for (TupleRef t : original.tuples()) {
     Tuple image;
     for (Value v : t) image.push_back(rename(v));
     expected.Insert(image);
