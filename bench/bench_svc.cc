@@ -1,9 +1,10 @@
 // Service-layer request latency: the full vqdr-serve path (parse → admit →
-// pool dispatch → engine → serialize) through Service::HandleLine, measured
-// in-process so the socket transport is out of the picture. The headline
-// counter `overhead_vs_direct` on the determinacy benchmark is served wall
-// time over a direct engine call on the same inputs through the same result
-// builders — the price of admission control, budget wiring, and dispatch.
+// engine on the calling thread → serialize) through Service::HandleLine,
+// measured in-process so the socket transport is out of the picture. The
+// headline counter `overhead_vs_direct` on the determinacy benchmark is
+// served wall time over a direct engine call on the same inputs through the
+// same result builders — the price of parsing, admission control, budget
+// wiring, op identity, and serialization.
 // Memoization is off here so both sides pay the real engine cost and the
 // ratio is apples-to-apples. The rejection benchmarks bound the fast-path
 // latency of backpressure: an overloaded client learns its fate in
@@ -45,7 +46,6 @@ double SecondsPerRun(const std::function<void()>& run) {
 
 ServiceOptions BenchOptions() {
   ServiceOptions options;
-  options.threads = 1;
   options.enable_memo = false;  // both sides pay full engine cost
   return options;
 }
@@ -59,7 +59,7 @@ void BM_SvcParseRequest(benchmark::State& state) {
 BENCHMARK(BM_SvcParseRequest)->Unit(benchmark::kMicrosecond);
 
 void BM_SvcHandleHealth(benchmark::State& state) {
-  // Inline control op: the dispatch floor with no admission or pool hop.
+  // Inline control op: the dispatch floor with no admission.
   Service service(BenchOptions());
   for (auto _ : state) {
     std::string r = service.HandleLine("{\"op\":\"health\"}");
@@ -80,7 +80,8 @@ void BM_SvcHandleDeterminacy(benchmark::State& state) {
     return;
   }
   // Warm both paths before calibrating — the first calls pay one-time
-  // allocator and pool costs that would skew whichever side runs first.
+  // allocator and thread-local costs that would skew whichever side runs
+  // first.
   constexpr int kCalibrationRuns = 50;
   auto direct_run = [&] {
     for (int i = 0; i < kCalibrationRuns; ++i) {

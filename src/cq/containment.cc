@@ -340,90 +340,12 @@ SweepOutcome SweepCanonicalDbs(
   return out;
 }
 
-// Legacy ungoverned sweep: requires completion, returns the conjunction.
-bool ForEachCanonicalDb(
-    const ConjunctiveQuery& q1, const std::set<Value>& all_constants,
-    bool need_patterns, int threads,
-    const std::function<bool(const PatternInstance&)>& body) {
-  SweepOutcome out = SweepCanonicalDbs(q1, all_constants, need_patterns,
-                                       threads, nullptr, body);
-  VQDR_CHECK(!out.internal_error)
-      << "canonical-database sweep failed internally";
-  return out.all_passed;
-}
-
 std::set<Value> UnionConstants(const ConjunctiveQuery& a,
                                const ConjunctiveQuery& b) {
   std::set<Value> constants = a.Constants();
   for (Value c : b.Constants()) constants.insert(c);
   return constants;
 }
-
-}  // namespace
-
-bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
-                   const CqContainmentOptions& options) {
-  obs::OpScope op(obs::OpKind::kContainment, "cq.containment",
-                  options.budget);
-  VQDR_COUNTER_INC("cq.containment.checks");
-  VQDR_TRACE_SPAN("cq.containment");
-  VQDR_CHECK(!q1.UsesNegation() && !q2.UsesNegation())
-      << "containment is not supported for CQ¬";
-  VQDR_CHECK_EQ(q1.head_arity(), q2.head_arity())
-      << "containment between different arities";
-
-  auto compute = [&]() -> bool {
-    bool sat1 = true;
-    ConjunctiveQuery n1 = q1.PropagateEqualities(&sat1);
-    if (!sat1) return true;  // empty query contained in anything
-    bool sat2 = true;
-    ConjunctiveQuery n2 = q2.PropagateEqualities(&sat2);
-    if (!sat2) return !CqSatisfiable(n1);
-
-    bool need_patterns = n1.UsesDisequality() || n2.UsesDisequality();
-    return ForEachCanonicalDb(
-        n1, UnionConstants(n1, n2), need_patterns,
-        par::ResolveThreads(options.threads),
-        [&](const PatternInstance& pattern) {
-          if (obs::Wants(options.explain)) {
-            Binding witness;
-            bool pass = CqAnswerContains(n2, pattern.instance,
-                                         pattern.frozen_head, nullptr,
-                                         &witness);
-            RecordPatternCheck(options.explain, "cq.sub", n2, pattern, pass,
-                               witness);
-            return pass;
-          }
-          return CqAnswerContains(n2, pattern.instance, pattern.frozen_head,
-                                  nullptr);
-        });
-  };
-
-  if (memo::ResolveUse(options.memo)) {
-    VQDR_TRACE_SPAN("memo.containment");
-    std::optional<std::string> key =
-        ContainmentKey("cq.sub", CanonicalCqFingerprint(q1),
-                       CanonicalCqFingerprint(q2));
-    if (key.has_value()) {
-      memo::Store& store = memo::ResolveStore(options.memo);
-      if (auto hit = store.Get<bool>(*key)) {
-        RecordMemoProbe(options.explain, "cq.sub", /*hit=*/true);
-        return *hit;
-      }
-      RecordMemoProbe(options.explain, "cq.sub", /*hit=*/false);
-      bool contained = compute();
-      store.Put(*key, contained);
-      return contained;
-    }
-  }
-  return compute();
-}
-
-bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
-  return CqContainedIn(q1, q2, CqContainmentOptions{});
-}
-
-namespace {
 
 // Folds a finished sweep into the public result shape. A witness is
 // definitive regardless of how the sweep ended; otherwise the outcome is
@@ -521,77 +443,24 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
   return compute();
 }
 
+// The bool overloads require completion: they run their governed twin with
+// no budget, where only a captured exception leaves no definitive answer.
+bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
+                   const CqContainmentOptions& options) {
+  CqContainmentOptions ungoverned = options;
+  ungoverned.budget = nullptr;
+  ContainmentResult r = CqContainedInGoverned(q1, q2, ungoverned);
+  VQDR_CHECK(!r.contained || guard::IsComplete(r.outcome))
+      << "canonical-database sweep failed internally";
+  return r.contained;
+}
+
+bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
+  return CqContainedIn(q1, q2, CqContainmentOptions{});
+}
+
 bool CqEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
   return CqContainedIn(q1, q2) && CqContainedIn(q2, q1);
-}
-
-bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
-                    const CqContainmentOptions& options) {
-  obs::OpScope op(obs::OpKind::kContainment, "cq.containment.ucq",
-                  options.budget);
-  VQDR_COUNTER_INC("cq.containment.ucq_checks");
-  VQDR_TRACE_SPAN("cq.containment.ucq");
-  VQDR_CHECK(!q1.empty() && !q2.empty()) << "containment with empty UCQ";
-  VQDR_CHECK_EQ(q1.head_arity(), q2.head_arity());
-
-  auto compute = [&]() -> bool {
-    bool q2_uses_diseq = false;
-    std::set<Value> q2_constants;
-    for (const ConjunctiveQuery& d2 : q2.disjuncts()) {
-      VQDR_CHECK(!d2.UsesNegation()) << "containment not supported for ¬";
-      if (d2.UsesDisequality()) q2_uses_diseq = true;
-      for (Value c : d2.Constants()) q2_constants.insert(c);
-    }
-
-    for (const ConjunctiveQuery& disjunct : q1.disjuncts()) {
-      VQDR_CHECK(!disjunct.UsesNegation())
-          << "containment not supported for ¬";
-      bool sat = true;
-      ConjunctiveQuery normalized = disjunct.PropagateEqualities(&sat);
-      if (!sat) continue;
-      if (!CqSatisfiable(normalized)) continue;
-
-      std::set<Value> constants = q2_constants;
-      for (Value c : normalized.Constants()) constants.insert(c);
-      bool need_patterns = normalized.UsesDisequality() || q2_uses_diseq;
-
-      bool contained = ForEachCanonicalDb(
-          normalized, constants, need_patterns,
-          par::ResolveThreads(options.threads),
-          [&](const PatternInstance& pattern) {
-            if (obs::Wants(options.explain)) {
-              return ExplainedUcqCheck(options.explain, q2, pattern, nullptr);
-            }
-            Relation answer = EvaluateUcq(q2, pattern.instance);
-            return answer.Contains(pattern.frozen_head);
-          });
-      if (!contained) return false;
-    }
-    return true;
-  };
-
-  if (memo::ResolveUse(options.memo)) {
-    VQDR_TRACE_SPAN("memo.containment.ucq");
-    std::optional<std::string> key =
-        ContainmentKey("ucq.sub", CanonicalUcqFingerprint(q1),
-                       CanonicalUcqFingerprint(q2));
-    if (key.has_value()) {
-      memo::Store& store = memo::ResolveStore(options.memo);
-      if (auto hit = store.Get<bool>(*key)) {
-        RecordMemoProbe(options.explain, "ucq.sub", /*hit=*/true);
-        return *hit;
-      }
-      RecordMemoProbe(options.explain, "ucq.sub", /*hit=*/false);
-      bool contained = compute();
-      store.Put(*key, contained);
-      return contained;
-    }
-  }
-  return compute();
-}
-
-bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2) {
-  return UcqContainedIn(q1, q2, CqContainmentOptions{});
 }
 
 ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
@@ -674,6 +543,20 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
     }
   }
   return compute();
+}
+
+bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
+                    const CqContainmentOptions& options) {
+  CqContainmentOptions ungoverned = options;
+  ungoverned.budget = nullptr;
+  ContainmentResult r = UcqContainedInGoverned(q1, q2, ungoverned);
+  VQDR_CHECK(!r.contained || guard::IsComplete(r.outcome))
+      << "canonical-database sweep failed internally";
+  return r.contained;
+}
+
+bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2) {
+  return UcqContainedIn(q1, q2, CqContainmentOptions{});
 }
 
 bool UcqEquivalent(const UnionQuery& q1, const UnionQuery& q2) {

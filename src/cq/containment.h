@@ -24,7 +24,8 @@ struct CqContainmentOptions {
 
   /// Optional resource budget: one step per identification pattern, plus a
   /// poll per matcher backtracking node inside each pattern check. Only the
-  /// *Governed entry points honour it; the bool APIs require completion.
+  /// *Governed entry points honour it; the bool APIs run their governed
+  /// twin without it and require completion.
   guard::Budget* budget = nullptr;
 
   /// Result memoization policy. Containment verdicts are booleans —

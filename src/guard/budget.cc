@@ -1,7 +1,9 @@
 #include "guard/budget.h"
 
+#include <algorithm>
 #include <thread>
 
+#include "base/env.h"
 #include "guard/fault.h"
 
 namespace vqdr::guard {
@@ -20,8 +22,11 @@ Budget::Budget(const BudgetSpec& spec, Budget* parent)
     : parent_(parent), spec_(spec) {
   if (spec_.wall_ms >= 0) {
     has_deadline_ = true;
+    // Clamped so now() + wall_ms cannot overflow into the past.
+    std::uint64_t wall_ms = std::min(static_cast<std::uint64_t>(spec_.wall_ms),
+                                     kMaxWaitMs);
     deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(spec_.wall_ms);
+                std::chrono::milliseconds(wall_ms);
   }
 }
 

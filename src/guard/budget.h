@@ -46,7 +46,8 @@ using CheckpointObserver = void (*)(std::uint64_t steps);
 /// "unlimited"; a default BudgetSpec imposes nothing.
 struct BudgetSpec {
   /// Wall-clock allowance in milliseconds, armed when the Budget is
-  /// constructed. < 0 = no deadline.
+  /// constructed. < 0 = no deadline; values above kMaxWaitMs (base/env.h)
+  /// arm a deadline kMaxWaitMs away.
   std::int64_t wall_ms = -1;
 
   /// Maximum work steps. A step is the engine's natural unit: an instance

@@ -26,7 +26,8 @@ enum class FaultKind {
   /// simulating memory exhaustion mid-materialization.
   kAllocFailure,
   /// The fault point throws InjectedTaskError inside a par::ThreadPool
-  /// worker; the pool must capture it, keep draining, and report it.
+  /// worker or a service request handler; the pool must capture it, keep
+  /// draining, and report it, and the service must answer "internal".
   kTaskThrow,
   /// Budget::Checkpoint trips kCancelled once the governed call's step
   /// counter reaches the armed ordinal — cancellation at exactly step N.

@@ -33,7 +33,11 @@ struct RegState {
   internal::OpSlot* tail = nullptr;
   std::deque<OpSnapshot> completed;  // newest at front
   std::size_t keep_completed = 0;
-  std::vector<internal::ThreadSlot*> threads;  // leaked, append-only
+  // Slots of the live threads that opened a span or bound an op, and the
+  // slots of exited threads kept for reuse. Never freed: a slot is only
+  // read under this mutex while listed in `threads`.
+  std::vector<internal::ThreadSlot*> threads;
+  std::vector<internal::ThreadSlot*> free_threads;
 
   static RegState& Get() {
     static RegState* s = new RegState;
@@ -171,15 +175,41 @@ std::uint64_t TelemetryNowUs() {
 
 namespace internal {
 
+namespace {
+
+// Hands the calling thread's slot back for reuse when the thread exits, so
+// a server that starts a thread per connection lists (and keeps) one slot
+// per live thread, not one per thread it ever started.
+struct ThreadSlotLease {
+  ThreadSlot* slot = nullptr;
+  ~ThreadSlotLease() {
+    if (slot == nullptr) return;
+    RegState& r = RegState::Get();
+    std::lock_guard<std::mutex> lock(r.mu);
+    r.threads.erase(std::find(r.threads.begin(), r.threads.end(), slot));
+    r.free_threads.push_back(slot);
+  }
+};
+
+}  // namespace
+
 ThreadSlot* EnsureThreadSlot() {
-  thread_local ThreadSlot* slot = nullptr;
-  if (slot != nullptr) return slot;
-  ThreadSlot* fresh = new ThreadSlot;  // leaked: watchdog reads after exit
-  fresh->tid = CurrentTraceTid();
+  thread_local ThreadSlotLease lease;
+  if (lease.slot != nullptr) return lease.slot;
   RegState& r = RegState::Get();
   std::lock_guard<std::mutex> lock(r.mu);
-  r.threads.push_back(fresh);
-  slot = fresh;
+  ThreadSlot* slot;
+  if (r.free_threads.empty()) {
+    slot = new ThreadSlot;
+  } else {
+    slot = r.free_threads.back();
+    r.free_threads.pop_back();
+    slot->op_id.store(0, std::memory_order_relaxed);
+    slot->depth.store(0, std::memory_order_relaxed);
+  }
+  slot->tid = CurrentTraceTid();
+  r.threads.push_back(slot);
+  lease.slot = slot;
   return slot;
 }
 

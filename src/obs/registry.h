@@ -61,9 +61,9 @@ std::vector<OpSnapshot> SnapshotOps();
 /// such op is live.
 OpSnapshot SnapshotOp(OpId id);
 
-/// Live span stacks of every thread that ever opened a span or bound an op,
-/// ordered by dense trace tid. Threads currently outside any span report an
-/// empty stack.
+/// Live span stacks of every running thread that has opened a span or bound
+/// an op, ordered by dense trace tid. Threads currently outside any span
+/// report an empty stack; exited threads are not listed.
 std::vector<ThreadStackSnapshot> SnapshotThreadStacks();
 
 /// Keep the most recent `n` completed ops for RecentCompletedOps (default 0:

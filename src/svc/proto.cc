@@ -1,5 +1,6 @@
 #include "svc/proto.h"
 
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -57,20 +58,26 @@ StatusOr<std::vector<std::string>> StringArrayField(const Value& obj,
 Status ReadBudgetFields(const Value& obj, guard::BudgetSpec* spec) {
   struct IntField {
     const char* key;
-    std::int64_t min;
+    std::int64_t max;  // the largest value the BudgetSpec field holds
   };
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
   static constexpr IntField kFields[] = {
-      {"deadline_ms", 0},
-      {"max_steps", 0},
-      {"max_atoms", 0},
-      {"max_chase_levels", 0},
+      {"deadline_ms", kAny},
+      {"max_steps", kAny},
+      {"max_atoms", kAny},
+      {"max_chase_levels", std::numeric_limits<int>::max()},
   };
   for (const IntField& f : kFields) {
     const Value* v = obj.Find(f.key);
     if (v == nullptr) continue;
-    if (!v->IsNumber() || !v->is_int || v->int_value < f.min) {
+    if (!v->IsNumber() || !v->is_int || v->int_value < 0) {
       return Status::InvalidArgument("\"" + std::string(f.key) +
                                      "\" must be a non-negative integer");
+    }
+    if (v->int_value > f.max) {
+      return Status::InvalidArgument("\"" + std::string(f.key) +
+                                     "\" must be at most " +
+                                     std::to_string(f.max));
     }
     std::int64_t n = v->int_value;
     if (std::string_view(f.key) == "deadline_ms") {

@@ -57,8 +57,8 @@ struct Request {
 
   /// Requested governance envelope, from "deadline_ms" / "max_steps" /
   /// "max_atoms" / "max_chase_levels". Tightened against the tenant class
-  /// cap at admission; the deadline is armed at admission, so queue wait
-  /// counts against it (that is the point of client deadline propagation).
+  /// cap at admission; the deadline is armed at admission, so it covers the
+  /// whole handler run (that is the point of client deadline propagation).
   guard::BudgetSpec budget;
 
   // Operation payloads (strings are engine-surface text, parsed by the

@@ -9,21 +9,21 @@
 #include "guard/budget.h"
 #include "svc/proto.h"
 
-// The string-keyed operation registry the service dispatches through
-// (ROADMAP item 1; the function_manager idiom). Handlers are pure request
-// processors: they receive the parsed request plus the admitted budget and
-// return a Response — admission, queueing, op identity, and serialization
-// all live in Service. Engine handlers run on pool workers; control
-// handlers (registered with kInline) run on the connection thread and
-// bypass admission so the control plane stays responsive under overload.
+// The string-keyed operation registry the service dispatches through (the
+// function_manager idiom). Handlers are pure request processors: they
+// receive the parsed request plus the admitted budget and return a
+// Response — admission, op identity, and serialization all live in
+// Service. Every handler runs on the thread that called Service::Handle;
+// control handlers (registered with kInline) bypass admission so the
+// control plane stays responsive under overload.
 
 namespace vqdr::svc {
 
 /// How a registered operation is executed.
 enum class Dispatch {
-  /// Admitted, queued, and run as a pool task under the request budget.
-  kQueued,
-  /// Run immediately on the connection thread, no admission, no budget.
+  /// Admitted, then run under the request budget and op identity.
+  kAdmitted,
+  /// Run immediately, no admission, no budget.
   kInline,
 };
 
@@ -35,7 +35,7 @@ class OpRegistry {
   void Register(std::string name, Dispatch dispatch, Handler handler);
 
   struct Entry {
-    Dispatch dispatch = Dispatch::kQueued;
+    Dispatch dispatch = Dispatch::kAdmitted;
     Handler handler;
   };
 

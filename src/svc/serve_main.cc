@@ -1,7 +1,7 @@
 // vqdr-serve: long-running determinacy service over a Unix-domain socket.
 //
 // Usage:
-//   vqdr-serve --socket=/tmp/vqdr.sock [--threads=N] [--queue-limit=N]
+//   vqdr-serve --socket=/tmp/vqdr.sock [--queue-limit=N]
 //              [--idle-timeout-ms=N] [--drain-timeout-ms=N]
 //              [--memo-snapshot=PATH] [--memo-flush-ms=N]
 //              [--class=name:max_concurrent:wall_ms:max_steps:max_atoms]...
@@ -10,23 +10,34 @@
 // in-flight requests finish (bounded by --drain-timeout-ms), then the
 // process exits 0. Each --class defines a tenant admission class; requests
 // carry "tenant" to pick one (unknown tenants fall back to "default").
+// Each connection has its own thread, and an admitted request runs on it;
+// --queue-limit caps the requests running at once.
+//
+// Numeric flags are validated like the VQDR_* switches (ParseEnvUint,
+// base/env.h): digits only, no larger than the field holds — INT_MAX for
+// --queue-limit and a class's max_concurrent, kMaxWaitMs for periods. A
+// class's wall_ms is signed (negative = no deadline). A bad value exits 2.
 //
 // --memo-snapshot (or the VQDR_MEMO_SNAPSHOT environment variable) makes
 // the memo store survive restarts: loaded at boot, flushed every
 // --memo-flush-ms (0 = only at drain and on the "snapshot" control op),
 // and written one final time after the SIGTERM drain completes.
 
+#include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <poll.h>
 #include <unistd.h>
 
+#include "base/env.h"
 #include "guard/classes.h"
 #include "svc/server.h"
 #include "svc/service.h"
@@ -40,13 +51,14 @@ void OnSignal(int) {
   (void)!::write(g_signal_pipe[1], &b, 1);
 }
 
-bool ParseLongField(const std::string& text, long long* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = v;
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+
+// An unsigned flag value no larger than `max` into *out.
+template <typename T>
+bool ParseUintFlag(const char* text, std::uint64_t max, T* out) {
+  std::optional<std::uint64_t> v = vqdr::ParseEnvUint(text, max);
+  if (!v.has_value()) return false;
+  *out = static_cast<T>(*v);
   return true;
 }
 
@@ -63,22 +75,24 @@ bool ParseClassSpec(const std::string& text,
   }
   if (parts.empty() || parts[0].empty() || parts.size() > 5) return false;
   out->name = parts[0];
-  long long v = 0;
-  if (parts.size() > 1) {
-    if (!ParseLongField(parts[1], &v) || v < 0) return false;
-    out->max_concurrent = static_cast<int>(v);
+  if (parts.size() > 1 &&
+      !ParseUintFlag(parts[1].c_str(), kIntMax, &out->max_concurrent)) {
+    return false;
   }
   if (parts.size() > 2) {
-    if (!ParseLongField(parts[2], &v)) return false;
-    out->cap.wall_ms = v;
+    const char* first = parts[2].data();
+    const char* last = first + parts[2].size();
+    auto [end, ec] = std::from_chars(first, last, out->cap.wall_ms);
+    if (ec != std::errc() || end != last) return false;
   }
-  if (parts.size() > 3) {
-    if (!ParseLongField(parts[3], &v) || v < 0) return false;
-    out->cap.max_steps = static_cast<std::uint64_t>(v);
+  constexpr std::uint64_t kCountMax = std::numeric_limits<std::uint64_t>::max();
+  if (parts.size() > 3 &&
+      !ParseUintFlag(parts[3].c_str(), kCountMax, &out->cap.max_steps)) {
+    return false;
   }
-  if (parts.size() > 4) {
-    if (!ParseLongField(parts[4], &v) || v < 0) return false;
-    out->cap.max_atoms = static_cast<std::uint64_t>(v);
+  if (parts.size() > 4 &&
+      !ParseUintFlag(parts[4].c_str(), kCountMax, &out->cap.max_atoms)) {
+    return false;
   }
   return true;
 }
@@ -86,7 +100,7 @@ bool ParseClassSpec(const std::string& text,
 void Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --socket=PATH [--threads=N] [--queue-limit=N]\n"
+      "usage: %s --socket=PATH [--queue-limit=N]\n"
       "          [--idle-timeout-ms=N] [--drain-timeout-ms=N]\n"
       "          [--memo-snapshot=PATH] [--memo-flush-ms=N]\n"
       "          [--class=name:max_concurrent:wall_ms:max_steps:max_atoms]...\n",
@@ -107,41 +121,23 @@ int main(int argc, char** argv) {
       if (arg.compare(0, n, prefix) == 0) return arg.c_str() + n;
       return nullptr;
     };
-    long long v = 0;
+    bool valid = true;
     if (const char* val = value_of("--socket=")) {
       server_options.socket_path = val;
-    } else if (const char* val = value_of("--threads=")) {
-      if (!ParseLongField(val, &v) || v < 0) {
-        Usage(argv[0]);
-        return 2;
-      }
-      service_options.threads = static_cast<int>(v);
     } else if (const char* val = value_of("--queue-limit=")) {
-      if (!ParseLongField(val, &v) || v < 1) {
-        Usage(argv[0]);
-        return 2;
-      }
-      service_options.queue_limit = static_cast<int>(v);
+      valid = ParseUintFlag(val, kIntMax, &service_options.queue_limit) &&
+              service_options.queue_limit > 0;
     } else if (const char* val = value_of("--idle-timeout-ms=")) {
-      if (!ParseLongField(val, &v) || v < 0) {
-        Usage(argv[0]);
-        return 2;
-      }
-      server_options.idle_timeout_ms = static_cast<std::uint64_t>(v);
+      valid = ParseUintFlag(val, vqdr::kMaxWaitMs,
+                            &server_options.idle_timeout_ms);
     } else if (const char* val = value_of("--drain-timeout-ms=")) {
-      if (!ParseLongField(val, &v) || v < 0) {
-        Usage(argv[0]);
-        return 2;
-      }
-      server_options.drain_timeout_ms = static_cast<std::uint64_t>(v);
+      valid = ParseUintFlag(val, vqdr::kMaxWaitMs,
+                            &server_options.drain_timeout_ms);
     } else if (const char* val = value_of("--memo-snapshot=")) {
       service_options.memo_snapshot_path = val;
     } else if (const char* val = value_of("--memo-flush-ms=")) {
-      if (!ParseLongField(val, &v) || v < 0) {
-        Usage(argv[0]);
-        return 2;
-      }
-      service_options.memo_flush_ms = static_cast<std::uint64_t>(v);
+      valid = ParseUintFlag(val, vqdr::kMaxWaitMs,
+                            &service_options.memo_flush_ms);
     } else if (const char* val = value_of("--class=")) {
       vqdr::guard::BudgetClassSpec spec;
       if (!ParseClassSpec(val, &spec)) {
@@ -154,6 +150,11 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      Usage(argv[0]);
+      return 2;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "bad value: %s\n", arg.c_str());
       Usage(argv[0]);
       return 2;
     }
@@ -183,8 +184,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "vqdr-serve: %s\n", started.message().c_str());
     return 1;
   }
-  std::fprintf(stderr, "vqdr-serve: listening on %s (threads=%d)\n",
-               server.socket_path().c_str(), service.options().threads);
+  std::fprintf(stderr, "vqdr-serve: listening on %s (queue-limit=%zu)\n",
+               server.socket_path().c_str(), service.options().queue_limit);
   if (!service.memo_snapshot_path().empty()) {
     std::fprintf(stderr,
                  "vqdr-serve: memo snapshot at %s (flush every %llu ms)\n",

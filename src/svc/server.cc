@@ -124,9 +124,29 @@ void Server::AcceptLoop() {
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     VQDR_COUNTER_INC("svc.connections");
     std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    ReapFinishedLocked();
+    Connection& conn = connections_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] {
+      ServeConnection(fd);
+      conn.done.store(true, std::memory_order_release);
+    });
   }
+}
+
+void Server::ReapFinishedLocked() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+std::size_t Server::connection_threads_held() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return connections_.size();
 }
 
 void Server::ServeConnection(int fd) {
@@ -193,8 +213,8 @@ void Server::Shutdown() {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  // 2. Drain: queued ops now reject with "draining"; wait (bounded) for
-  //    in-flight work so accepted requests get real answers, not cut wires.
+  // 2. Drain: engine ops now reject with "draining"; wait (bounded) for
+  //    in-flight work so admitted requests get real answers, not cut wires.
   service_.BeginDrain();
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(options_.drain_timeout_ms);
@@ -205,15 +225,12 @@ void Server::Shutdown() {
 
   // 3. Close connections (their threads see stopping_ at the next poll
   //    slice) and join them.
-  std::vector<std::thread> threads;
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-    conn_fds_.clear();
+    connections.swap(connections_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& conn : connections) conn.thread.join();
 
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);

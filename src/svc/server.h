@@ -2,19 +2,20 @@
 #define VQDR_SVC_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "base/status.h"
 #include "svc/service.h"
 
 // The vqdr-serve transport: a Unix-domain stream socket speaking the
 // line-delimited protocol of svc/proto.h. Each accepted connection gets its
-// own thread running a read-dispatch-write loop with per-connection
-// robustness:
+// own thread running a read-dispatch-write loop — an admitted request runs
+// on it — with per-connection robustness:
 //
 //  * idle/read timeout — a connection silent for idle_timeout_ms is closed;
 //  * frame cap + resync — an overlong line is answered with a structured
@@ -23,8 +24,13 @@
 //  * malformed JSON is answered with "bad_request" and the connection lives
 //    on (recovery, not teardown).
 //
+// The accept loop joins the threads of finished connections before it
+// starts the next one, so a long-lived server holds a thread (and its
+// stack) only per open connection, plus any that finished since the last
+// accept.
+//
 // Shutdown() is the drain-then-exit path (SIGTERM): stop accepting, flip
-// the service to draining (queued ops rejected with "draining", control
+// the service to draining (engine ops rejected with "draining", control
 // ops still served), wait for in-flight requests to finish, then close the
 // remaining connections and join every thread.
 
@@ -66,9 +72,20 @@ class Server {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
 
+  /// Connection threads not yet joined: the open connections plus those
+  /// that finished since the last accept (tests).
+  std::size_t connection_threads_held() const;
+
  private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void AcceptLoop();
   void ServeConnection(int fd);
+  // Joins and forgets the finished connections; conn_mu_ held.
+  void ReapFinishedLocked();
 
   Service& service_;
   ServerOptions options_;
@@ -80,9 +97,8 @@ class Server {
   std::atomic<bool> started_{false};
   std::atomic<std::uint64_t> connections_accepted_{0};
 
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  mutable std::mutex conn_mu_;
+  std::list<Connection> connections_;  // nodes stay put while threads run
 };
 
 }  // namespace vqdr::svc

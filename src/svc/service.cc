@@ -1,6 +1,6 @@
 #include "svc/service.h"
 
-#include <condition_variable>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -31,6 +31,14 @@ Response OkResponse(guard::Outcome outcome, std::string result_json) {
   return r;
 }
 
+// A handler exception, captured: ok=false/"internal", outcome INTERNAL_ERROR.
+Response InternalError(std::string message) {
+  Response r = ErrorResponse("internal", std::move(message));
+  r.has_outcome = true;
+  r.outcome = guard::Outcome::kInternalError;
+  return r;
+}
+
 }  // namespace
 
 Status BuildScenario(const std::string& schema,
@@ -44,9 +52,12 @@ Status BuildScenario(const std::string& schema,
       return Status::InvalidArgument(
           "schema entries look like Name/arity: " + std::string(decl));
     }
-    int arity = std::atoi(std::string(decl.substr(slash + 1)).c_str());
-    if (arity < 0 || arity > 32) {
-      return Status::InvalidArgument("schema arity out of range: " +
+    std::string_view digits = decl.substr(slash + 1);
+    const char* last = digits.data() + digits.size();
+    int arity = -1;
+    auto [end, ec] = std::from_chars(digits.data(), last, arity);
+    if (ec != std::errc() || end != last || arity < 0 || arity > 32) {
+      return Status::InvalidArgument("schema arity must be in 0..32: " +
                                      std::string(decl));
     }
     std::string name(decl.substr(0, slash));
@@ -165,7 +176,7 @@ std::string ChaseResultJson(const ChaseChain& chain, const NamePool& pool) {
 
 namespace {
 
-// ---- queued (engine) handlers -------------------------------------------
+// ---- admitted (engine) handlers -----------------------------------------
 
 Response HandleParse(const Request& req, guard::Budget& budget) {
   if (budget.Checkpoint() != guard::Outcome::kComplete) {
@@ -322,17 +333,7 @@ Response HandleBatch(const Request& req, guard::Budget& envelope) {
 
 // ---- service core --------------------------------------------------------
 
-struct Service::Job {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Response response;
-  std::shared_ptr<guard::Budget> budget;
-};
-
 Service::Service(ServiceOptions options) : options_(std::move(options)) {
-  options_.threads = par::ResolveThreads(options_.threads);
-  pool_ = std::make_unique<par::ThreadPool>(options_.threads);
   if (options_.enable_memo) memo::SetEnabled(true);
   metrics_baseline_ = obs::SnapshotMetrics();
   if (options_.enable_memo) {
@@ -380,12 +381,11 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
 
 Service::~Service() {
   BeginDrain();
-  pool_->Wait();
   if (stall_hook_installed_) obs::SetStallCallback(nullptr);
-  // After the pool drained: the final snapshot flush sees every install the
-  // in-flight requests made. This is the SIGTERM drain-then-exit write.
+  // Every Handle call has returned by now, so the final snapshot flush sees
+  // every install the requests made. This is the SIGTERM drain-then-exit
+  // write.
   memo_flusher_.reset();
-  pool_.reset();
 }
 
 Status Service::FlushMemoSnapshot(std::string* result_json) {
@@ -458,7 +458,7 @@ Response Service::Handle(const Request& req) {
     return r;
   }
   if (entry->dispatch == Dispatch::kInline) {
-    // Control plane: no admission, no queue — responsive under overload.
+    // Control plane: no admission — responsive under overload.
     guard::Budget unlimited;
     Response r = entry->handler(req, unlimited);
     r.id = req.id;
@@ -482,7 +482,40 @@ Response Service::Handle(const Request& req) {
     ++stats_.accepted;
   }
   VQDR_COUNTER_INC("svc.accepted");
-  Response r = RunQueued(*entry, req, cls);
+  std::uint64_t seq =
+      next_request_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Built at admission, so the client's deadline_ms covers the whole run.
+  // Shared with live_ops_, where the watchdog's stall hook may cancel it.
+  auto budget = std::make_shared<guard::Budget>(cls.Grant(req.budget));
+  std::uint64_t start_us = obs::TelemetryNowUs();
+  Response r;
+  {
+    // Per-request op identity: a dynamic label under OpKind::kService, with
+    // the request budget attached so heartbeats flow from its checkpoints
+    // and the registry/watchdog can see its state.
+    obs::OpScope op(obs::OpKind::kService,
+                    "svc." + req.op + "#" + std::to_string(seq),
+                    budget.get());
+    if (op.id() != 0) {
+      std::lock_guard<std::mutex> lock(live_mu_);
+      live_ops_[op.id()] = budget;
+    }
+    try {
+      VQDR_FAULT_TASK("svc.request");
+      r = entry->handler(req, *budget);
+    } catch (const std::exception& e) {
+      r = InternalError(e.what());
+    } catch (...) {
+      r = InternalError("unknown handler exception");
+    }
+    if (op.id() != 0) {
+      std::lock_guard<std::mutex> lock(live_mu_);
+      live_ops_.erase(op.id());
+    }
+  }
+  r.has_elapsed = true;
+  r.elapsed_us = obs::TelemetryNowUs() - start_us;
+  VQDR_HISTOGRAM_RECORD("svc.request.us", r.elapsed_us);
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   cls.Release();
   {
@@ -494,67 +527,12 @@ Response Service::Handle(const Request& req) {
   return r;
 }
 
-Response Service::RunQueued(const OpRegistry::Entry& entry, const Request& req,
-                            guard::BudgetClass& cls) {
-  std::uint64_t seq =
-      next_request_.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto job = std::make_shared<Job>();
-  // Built at admission: the deadline is armed before the task is queued, so
-  // the client's deadline_ms covers queue wait too.
-  job->budget =
-      std::make_shared<guard::Budget>(cls.Grant(req.budget));
-  std::uint64_t start_us = obs::TelemetryNowUs();
-  std::string label = "svc." + req.op + "#" + std::to_string(seq);
-
-  pool_->Submit([this, job, &entry, &req, label] {
-    // Per-request op identity: a dynamic label under OpKind::kService, with
-    // the request budget attached so heartbeats flow from its checkpoints
-    // and the registry/watchdog can see its state.
-    obs::OpScope op(obs::OpKind::kService, label, job->budget.get());
-    if (op.id() != 0) {
-      std::lock_guard<std::mutex> lock(live_mu_);
-      live_ops_[op.id()] = job->budget;
-    }
-    Response response;
-    try {
-      VQDR_FAULT_TASK("svc.request");
-      response = entry.handler(req, *job->budget);
-    } catch (const std::exception& e) {
-      response = ErrorResponse("internal", e.what());
-      response.has_outcome = true;
-      response.outcome = guard::Outcome::kInternalError;
-    } catch (...) {
-      response = ErrorResponse("internal", "unknown handler exception");
-      response.has_outcome = true;
-      response.outcome = guard::Outcome::kInternalError;
-    }
-    if (op.id() != 0) {
-      std::lock_guard<std::mutex> lock(live_mu_);
-      live_ops_.erase(op.id());
-    }
-    {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->response = std::move(response);
-      job->done = true;
-    }
-    job->cv.notify_all();
-  });
-
-  std::unique_lock<std::mutex> lock(job->mu);
-  job->cv.wait(lock, [&] { return job->done; });
-  Response r = std::move(job->response);
-  r.has_elapsed = true;
-  r.elapsed_us = obs::TelemetryNowUs() - start_us;
-  VQDR_HISTOGRAM_RECORD("svc.request.us", r.elapsed_us);
-  return r;
-}
-
 void Service::RegisterBuiltinOps() {
-  registry_.Register("parse", Dispatch::kQueued, HandleParse);
-  registry_.Register("containment", Dispatch::kQueued, HandleContainment);
-  registry_.Register("chase", Dispatch::kQueued, HandleChase);
-  registry_.Register("determinacy", Dispatch::kQueued, HandleDeterminacy);
-  registry_.Register("batch", Dispatch::kQueued, HandleBatch);
+  registry_.Register("parse", Dispatch::kAdmitted, HandleParse);
+  registry_.Register("containment", Dispatch::kAdmitted, HandleContainment);
+  registry_.Register("chase", Dispatch::kAdmitted, HandleChase);
+  registry_.Register("determinacy", Dispatch::kAdmitted, HandleDeterminacy);
+  registry_.Register("batch", Dispatch::kAdmitted, HandleBatch);
 
   registry_.Register(
       "health", Dispatch::kInline,

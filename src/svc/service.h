@@ -16,28 +16,29 @@
 #include "guard/classes.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
-#include "par/pool.h"
 #include "svc/proto.h"
 #include "svc/registry.h"
 #include "views/view_set.h"
 
 // The vqdr-serve request engine (transport-free): admission control,
 // dispatch, and graceful degradation, shared by the socket server and the
-// in-process tests. One Service per process; it owns the worker pool, the
-// per-tenant budget-class table, and the watchdog hookup, and it shares the
-// process-wide memo store across every request.
+// in-process tests. One Service per process; it owns the per-tenant
+// budget-class table and the watchdog hookup, and it shares the
+// process-wide memo store across every request. An admitted request's
+// handler runs on the thread that called Handle (a connection thread under
+// the socket server), so queue_limit bounds the requests running at once.
 //
 // Robustness contract (DESIGN.md §13):
 //  * Admission is explicit: a request past the tenant's concurrency slots or
 //    the global queue limit gets a structured "overloaded" rejection with a
 //    retry_after_ms hint — never a silent drop, never unbounded queueing.
 //  * The request budget is built AT ADMISSION (deadline armed immediately),
-//    so time spent queued counts against the client's deadline.
+//    so everything after the gate counts against the client's deadline.
 //  * A tripped budget degrades, it does not fail: the response stays ok with
 //    the guard::Outcome tag and the exact computed prefix.
 //  * Captured handler exceptions (including injected faults) become
-//    ok=false/"internal" responses with outcome INTERNAL_ERROR — the worker
-//    and the connection both survive.
+//    ok=false/"internal" responses with outcome INTERNAL_ERROR — the calling
+//    thread and the connection both survive.
 //  * A wedged request is detected by the obs stall watchdog through its
 //    per-request op identity; the service's stall hook cancels that
 //    request's budget, so the handler stops at its next checkpoint, the
@@ -56,11 +57,8 @@ class SnapshotFlusher;
 namespace vqdr::svc {
 
 struct ServiceOptions {
-  /// Worker pool size; 0 = par::DefaultThreads().
-  int threads = 0;
-
-  /// Global cap on requests admitted and not yet finished (queued plus
-  /// running). Beyond it: "overloaded".
+  /// Global cap on requests admitted and not yet finished, i.e. running at
+  /// once. Beyond it: "overloaded".
   std::size_t queue_limit = 64;
 
   /// Backpressure hint when the global queue limit rejects (per-tenant
@@ -120,7 +118,7 @@ class Service {
   /// Same, from a parsed request (test seam).
   Response Handle(const Request& req);
 
-  /// Stops admitting queued work ("draining" rejections; control operations
+  /// Stops admitting engine work ("draining" rejections; control operations
   /// still served) — the SIGTERM drain-then-exit path.
   void BeginDrain() { draining_.store(true, std::memory_order_release); }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
@@ -145,22 +143,17 @@ class Service {
   }
 
  private:
-  struct Job;
-
   void RegisterBuiltinOps();
   Response Reject(const char* code, const Request& req,
                   std::uint64_t retry_after_ms);
-  Response RunQueued(const OpRegistry::Entry& entry, const Request& req,
-                     guard::BudgetClass& cls);
 
   ServiceOptions options_;
   OpRegistry registry_;
   guard::BudgetClassTable classes_;
-  std::unique_ptr<par::ThreadPool> pool_;
 
   // Warm-restart persistence: null when no snapshot path is configured. The
-  // flusher is reset in the destructor AFTER the pool drains, which is the
-  // flush-on-SIGTERM-drain final write.
+  // flusher is reset in the destructor, after every Handle call returned,
+  // which is the flush-on-SIGTERM-drain final write.
   std::string memo_snapshot_path_;
   std::unique_ptr<memo::SnapshotFlusher> memo_flusher_;
 

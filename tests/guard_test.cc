@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -81,6 +83,19 @@ TEST(GuardBudget, DeadlineTripsPromptly) {
   }
   EXPECT_EQ(last, Outcome::kDeadlineExceeded);
   EXPECT_LE(polls, 2 * Budget::kClockStride);
+}
+
+TEST(GuardBudget, DeadlineBeyondClockRangeIsClamped) {
+  // now() + wall_ms past the steady clock's range would wrap into the past
+  // and trip kDeadlineExceeded at the first clock read; the deadline is
+  // clamped at kMaxWaitMs instead, still far away.
+  for (std::int64_t wall_ms : {std::int64_t{9223372036854},
+                               std::numeric_limits<std::int64_t>::max()}) {
+    Budget budget(BudgetSpec{.wall_ms = wall_ms});
+    EXPECT_EQ(budget.Checkpoint(Budget::kClockStride), Outcome::kComplete)
+        << wall_ms;  // one full stride: the clock is read
+    EXPECT_FALSE(budget.Stopped()) << wall_ms;
+  }
 }
 
 TEST(GuardBudget, CancelIsSticky) {

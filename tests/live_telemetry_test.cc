@@ -10,6 +10,7 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/env.h"
@@ -98,6 +99,19 @@ TEST(OpRegistry, ThreadStacksTrackLiveSpans) {
     EXPECT_EQ(t.spans.back(), "test.stacks.inner");
   }
   EXPECT_TRUE(found);
+}
+
+TEST(OpRegistry, ExitedThreadsLeaveTheThreadStacks) {
+  // A server that starts a thread per connection must not grow the list —
+  // and every stall report — by one entry per thread it ever started.
+  auto op_on_a_new_thread = [] {
+    std::thread t([] { obs::OpScope op(obs::OpKind::kOther, "test.exited"); });
+    t.join();
+  };
+  op_on_a_new_thread();
+  std::size_t before = obs::SnapshotThreadStacks().size();
+  for (int i = 0; i < 50; ++i) op_on_a_new_thread();
+  EXPECT_LE(obs::SnapshotThreadStacks().size(), before);
 }
 
 TEST(OpRegistry, CounterDeltasAttributeToTheBoundOp) {

@@ -44,7 +44,6 @@ class SvcServerTest : public ::testing::Test {
   void StartServer(ServerOptions options = {}) {
     if (options.socket_path.empty()) options.socket_path = UniqueSocketPath();
     ServiceOptions service_options;
-    service_options.threads = 2;
     service_ = std::make_unique<Service>(service_options);
     server_ = std::make_unique<Server>(*service_, options);
     ASSERT_TRUE(server_->Start().ok());
@@ -172,9 +171,23 @@ TEST_F(SvcServerTest, ShutdownDrainsAndUnlinksSocket) {
   server_->Shutdown();  // idempotent
 }
 
+TEST_F(SvcServerTest, FinishedConnectionThreadsAreJoined) {
+  StartServer();
+  // A finished connection's thread is joined while the server runs, not
+  // at Shutdown(): a joinable thread's stack stays mapped until its join.
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) {
+    Client client = MustConnect();
+    std::string health = MustCall(client, "{\"op\":\"health\"}");
+    ASSERT_NE(health.find("\"ok\":true"), std::string::npos) << health;
+  }
+  EXPECT_EQ(server_->connections_accepted(),
+            static_cast<std::uint64_t>(kConnections));
+  EXPECT_LE(server_->connection_threads_held(), 8u);
+}
+
 TEST_F(SvcServerTest, StartRejectsBadPaths) {
   ServiceOptions service_options;
-  service_options.threads = 1;
   Service service(service_options);
   {
     Server server(service, ServerOptions{});  // empty socket_path

@@ -126,7 +126,6 @@ TEST(SvcSoak, MixedConcurrentRequestsByteIdenticalAndHangFree) {
   constexpr int kRequestsPerThread = 256;  // 2048 total
 
   ServiceOptions options;
-  options.threads = 4;
   options.queue_limit = 64;  // above peak concurrency: no rejects expected
   Service service(options);
 
@@ -190,7 +189,6 @@ TEST(SvcSoak, BackgroundSnapshotFlushUnderLoadStaysConsistent) {
   memo::GlobalStore().Clear();
 
   ServiceOptions options;
-  options.threads = 4;
   options.queue_limit = 64;
   options.memo_snapshot_path = path;
   options.memo_flush_ms = 1;
@@ -256,7 +254,6 @@ TEST(SvcSoak, BackgroundSnapshotFlushUnderLoadStaysConsistent) {
 
 TEST(SvcSoak, OverloadNeverDropsOrFabricates) {
   ServiceOptions options;
-  options.threads = 2;
   options.queue_limit = 2;  // far below offered concurrency
   Service service(options);
 

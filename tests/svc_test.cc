@@ -301,6 +301,62 @@ TEST(SvcService, TenantClassCapGovernsRequestBudget) {
   EXPECT_EQ(r.result_json.find("\"determined\""), std::string::npos);
 }
 
+TEST(SvcService, SchemaArityMustBeAWholeNumberInRange) {
+  Service service;
+  // Only a whole number in 0..32 is an arity: "R/x" is not arity 0, and
+  // "R/4294967298" does not wrap to arity 2 (which would parse R(a, b)).
+  for (const char* schema :
+       {"R/x", "R/4294967298", "R/2x", "R/", "R/-1", "R/33"}) {
+    std::string line = service.HandleLine(
+        std::string("{\"op\":\"parse\",\"kind\":\"instance\",\"schema\":\"") +
+        schema + "\",\"text\":\"R(a, b)\"}");
+    std::optional<obs::json::Value> v = MustJson(line);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->StringOr("code", ""), "bad_request") << schema << ": " << line;
+  }
+  Response ok = service.Handle(MustParse(
+      "{\"op\":\"parse\",\"kind\":\"instance\",\"schema\":\"R/2\","
+      "\"text\":\"R(a, b)\"}"));
+  EXPECT_TRUE(ok.ok) << ok.error;
+}
+
+TEST(SvcService, MaxChaseLevelsAboveIntMaxIsBadRequest) {
+  Service service;
+  // The cap is an int: a larger value is refused, not narrowed to a cap of
+  // 0 levels (4294967296) or to a negative cap, i.e. none (2147483648).
+  for (const char* cap : {"4294967296", "2147483648"}) {
+    std::string line = service.HandleLine(
+        std::string("{\"op\":\"chase\",\"levels\":2,\"max_chase_levels\":") +
+        cap + "," + kJoinScenario + "}");
+    std::optional<obs::json::Value> v = MustJson(line);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->StringOr("code", ""), "bad_request") << cap << ": " << line;
+  }
+  // INT_MAX is a cap the chase never reaches: both levels are built.
+  std::string line = service.HandleLine(
+      std::string("{\"op\":\"chase\",\"levels\":2,"
+                  "\"max_chase_levels\":2147483647,") +
+      kJoinScenario + "}");
+  std::optional<obs::json::Value> v = MustJson(line);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->StringOr("outcome", ""), "COMPLETE") << line;
+}
+
+TEST(SvcService, DeadlineBeyondClockRangeStillCompletes) {
+  Service service;
+  // A deadline past the steady clock's range must not overflow into the
+  // past and stop the request at its first clock read. The disequality
+  // makes the sweep check enough identification patterns to read the clock.
+  std::string line = service.HandleLine(
+      "{\"op\":\"containment\",\"deadline_ms\":9223372036854,"
+      "\"q1\":\"Q(x) :- E(x,y), E(y,z), E(z,u), E(u,v), E(v,w), x != w\","
+      "\"q2\":\"Q(x) :- E(x,y), E(y,z)\"}");
+  std::optional<obs::json::Value> v = MustJson(line);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->StringOr("outcome", ""), "COMPLETE") << line;
+  EXPECT_NE(line.find("\"contained\":true"), std::string::npos) << line;
+}
+
 TEST(SvcService, BatchEnvelopeSkipsAfterTrip) {
   Service service;
   // Three items under a 2-step envelope: the first trips it mid-run, the
