@@ -71,7 +71,6 @@ void BM_ContainmentUnbudgeted(benchmark::State& state) {
   ConjunctiveQuery q1 = ChainQuery(n);
   ConjunctiveQuery q2 = DisequalityChain(n);
   CqContainmentOptions options;
-  options.threads = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(CqContainedInGoverned(q1, q2, options));
   }
@@ -86,7 +85,6 @@ void BM_ContainmentUnlimitedBudget(benchmark::State& state) {
   for (auto _ : state) {
     guard::Budget budget;
     CqContainmentOptions options;
-    options.threads = 1;
     options.budget = &budget;
     benchmark::DoNotOptimize(CqContainedInGoverned(q1, q2, options));
   }

@@ -132,14 +132,14 @@ void BM_MemoDeterminacyBatchWarm(benchmark::State& state) {
 
   memo::MemoOptions cold{memo::Use::kOff, nullptr};
   double cold_seconds = SecondsPerRun([&] {
-    auto r = DecideUnrestrictedDeterminacyBatch(items, /*threads=*/1, cold);
+    auto r = DecideUnrestrictedDeterminacyBatch(items, cold);
     benchmark::DoNotOptimize(r);
   });
 
   memo::Store store(4096);
   memo::MemoOptions warm{memo::Use::kOn, &store};
   auto warm_run = [&] {
-    auto r = DecideUnrestrictedDeterminacyBatch(items, /*threads=*/1, warm);
+    auto r = DecideUnrestrictedDeterminacyBatch(items, warm);
     benchmark::DoNotOptimize(r);
   };
   warm_run();
@@ -216,8 +216,7 @@ void BM_MemoSnapshotWarmBoot(benchmark::State& state) {
       bool r = CqContainedIn(a, b, copts);
       benchmark::DoNotOptimize(r);
     }
-    auto d = DecideUnrestrictedDeterminacyBatch(items, /*threads=*/1,
-                                                memo_opts);
+    auto d = DecideUnrestrictedDeterminacyBatch(items, memo_opts);
     benchmark::DoNotOptimize(d);
   };
 

@@ -1,8 +1,7 @@
-// Parallel engine scaling: the sharded determinacy search, monotonicity
-// scan, CQ(≠) pattern sweep, and determinacy batch at thread counts 1–8
-// against the serial baseline. Each threaded variant reports a
-// `speedup_vs_serial` counter (serial wall time measured once per workload
-// divided by the variant's mean iteration time), so the emitted
+// Parallel search scaling: the sharded determinacy search and monotonicity
+// scan at thread counts 1–8 against the serial baseline. Each variant
+// reports a `speedup_vs_serial` counter (serial wall time measured once per
+// workload divided by the variant's mean iteration time), so the emitted
 // BENCH_parallel_search.json carries the scaling curve wherever it runs.
 // The verdicts are scheduling-independent, so every variant computes the
 // same answer — only the wall clock moves.
@@ -10,15 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <functional>
 
 #include "bench_json.h"
 
-#include "core/determinacy.h"
-#include "core/determinacy_batch.h"
 #include "core/finite_search.h"
-#include "cq/containment.h"
-#include "cq/parser.h"
-#include "gen/random_query.h"
 #include "gen/workloads.h"
 
 namespace vqdr {
@@ -35,7 +30,6 @@ struct SearchWorkload {
 };
 
 SearchWorkload FullSweepWorkload() {
-  NamePool pool;
   SearchWorkload w;
   w.views = PathViews(2);
   w.q = Query::FromCq(ChainQuery(3));
@@ -107,73 +101,7 @@ void BM_ParallelMonotonicitySearch(benchmark::State& state) {
       per_iter > 0 ? serial_seconds / per_iter : 0.0;
 }
 BENCHMARK(BM_ParallelMonotonicitySearch)
-    ->Arg(1)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelContainmentSweep(benchmark::State& state) {
-  // A ≠-laden pair with enough variables that the identification-pattern
-  // sweep dominates.
-  NamePool pool;
-  ConjunctiveQuery q1 =
-      ParseCq("Q(x) :- E(x, y), E(y, z), E(z, w), P(w)", pool).value();
-  q1.AddDisequality(Term::Var("x"), Term::Var("w"));
-  ConjunctiveQuery q2 = ParseCq("Q(x) :- E(x, y), E(y, z)", pool).value();
-  q2.AddDisequality(Term::Var("x"), Term::Var("z"));
-
-  CqContainmentOptions serial;
-  double serial_seconds = SecondsPerRun([&] {
-    bool r = CqContainedIn(q1, q2, serial);
-    benchmark::DoNotOptimize(r);
-  });
-  CqContainmentOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    bool contained = CqContainedIn(q1, q2, options);
-    benchmark::DoNotOptimize(contained);
-  }
-  state.counters["threads"] = static_cast<double>(options.threads);
-  double per_iter = SecondsPerRun([&] {
-    bool r = CqContainedIn(q1, q2, options);
-    benchmark::DoNotOptimize(r);
-  });
-  state.counters["speedup_vs_serial"] =
-      per_iter > 0 ? serial_seconds / per_iter : 0.0;
-}
-BENCHMARK(BM_ParallelContainmentSweep)
-    ->Arg(1)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DeterminacyBatch(benchmark::State& state) {
-  std::vector<DeterminacyBatchItem> items;
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    Rng rng(seed);
-    RandomCqOptions copts;
-    copts.max_atoms = 4;
-    DeterminacyBatchItem item;
-    item.views = RandomCqViews(rng, copts, 2);
-    item.query = RandomCq(rng, copts);
-    items.push_back(std::move(item));
-  }
-  double serial_seconds = SecondsPerRun([&] {
-    auto r = DecideUnrestrictedDeterminacyBatch(items, 1);
-    benchmark::DoNotOptimize(r);
-  });
-  int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto results = DecideUnrestrictedDeterminacyBatch(items, threads);
-    benchmark::DoNotOptimize(results);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["items"] = static_cast<double>(items.size());
-  double per_iter = SecondsPerRun([&] {
-    auto r = DecideUnrestrictedDeterminacyBatch(items, threads);
-    benchmark::DoNotOptimize(r);
-  });
-  state.counters["speedup_vs_serial"] =
-      per_iter > 0 ? serial_seconds / per_iter : 0.0;
-}
-BENCHMARK(BM_DeterminacyBatch)
-    ->Arg(1)->Arg(8)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

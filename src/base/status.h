@@ -72,7 +72,7 @@ class Status {
     return Error(std::move(message), StatusCode::kResourceExhausted);
   }
 
-  /// The caller (or a progress callback) asked the call to stop.
+  /// The caller asked the call to stop (Budget::Cancel()).
   static Status Cancelled(std::string message) {
     return Error(std::move(message), StatusCode::kCancelled);
   }

@@ -37,8 +37,8 @@ struct ChaseChain {
   std::vector<Instance> d_prime;  // D'_k
 
   /// Why the build ended. kComplete when all requested levels were built;
-  /// otherwise the budget's stop reason (or kCancelled for a progress-
-  /// callback stop, kInternalError for a captured allocation failure).
+  /// otherwise the budget's stop reason (kInternalError for a captured
+  /// allocation failure).
   /// Levels are only appended whole: whatever the outcome, every level
   /// present is exact.
   guard::Outcome outcome = guard::Outcome::kComplete;
@@ -69,10 +69,8 @@ struct ChaseChainOptions {
   obs::ExplainLog* explain = nullptr;
 };
 
-/// Builds `levels`+1 levels of the chain for pure CQ views and query.
-/// Reports each completed level through obs::ReportProgress ("chase.level");
-/// a progress callback returning false truncates the chain at that level
-/// (every level present is still exact).
+/// Builds `levels`+1 levels of the chain for pure CQ views and query,
+/// beating the op once per completed level.
 ChaseChain BuildChaseChain(const ViewSet& views, const ConjunctiveQuery& q,
                            int levels, ValueFactory& factory);
 

@@ -17,18 +17,17 @@ struct DeterminacyBatchItem {
   ConjunctiveQuery query{"Q", {}};
 };
 
-/// Decides unrestricted determinacy for every item, concurrently.
+/// Decides unrestricted determinacy for every item, in input order, on the
+/// calling thread.
 ///
 /// results[i] is exactly DecideUnrestrictedDeterminacy(items[i].views,
-/// items[i].query) — each decision is a pure function of its item, so the
-/// output is independent of scheduling and of `threads`. threads follows the
-/// usual convention: 1 = a plain serial loop, 0 = par::DefaultThreads(),
-/// N > 1 = one pool task per item. Progress is reported per completed item
-/// on the "determinacy.batch" phase; the batch always processes every item
-/// (a partially-decided batch has no sound meaning, so progress callbacks
-/// cannot cancel it mid-flight).
+/// items[i].query, nullptr, memo). Each decided item beats the batch's op,
+/// so the stall watchdog sees a long batch move. Callers that want
+/// decisions to run concurrently make them from their own threads, as
+/// vqdr-serve does with one thread per connection; a memo store is safe to
+/// share between them.
 std::vector<UnrestrictedDeterminacyResult> DecideUnrestrictedDeterminacyBatch(
-    const std::vector<DeterminacyBatchItem>& items, int threads = 0,
+    const std::vector<DeterminacyBatchItem>& items,
     const memo::MemoOptions& memo = {});
 
 /// Result of a governed batch run.
@@ -51,10 +50,9 @@ struct DeterminacyBatchResult {
 /// reason) and the completed prefix of decisions is returned — identical to
 /// what an ungoverned run would have produced for those items.
 /// `memo` is forwarded to every per-item decision: duplicate items hit the
-/// cache (first-install-wins keeps concurrent installs deterministic), and
-/// budget-stopped items are never installed.
+/// cache, and budget-stopped items are never installed.
 DeterminacyBatchResult DecideUnrestrictedDeterminacyBatchGoverned(
-    const std::vector<DeterminacyBatchItem>& items, int threads = 0,
+    const std::vector<DeterminacyBatchItem>& items,
     guard::Budget* budget = nullptr, const memo::MemoOptions& memo = {});
 
 }  // namespace vqdr

@@ -10,7 +10,6 @@
 #include "obs/context.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "par/pool.h"
 #include "par/shard.h"
@@ -19,14 +18,19 @@ namespace vqdr {
 
 namespace {
 
-// Progress cadence for instance enumeration: frequent enough to look alive,
-// sparse enough that a callback-free run pays only the ticker branch.
-constexpr std::uint64_t kProgressStride = 1024;
-
-// Budget-checkpoint cadence inside parallel workers: tighter than the
-// progress stride so deadlines and cancellation land promptly even when the
-// per-instance work is expensive.
+// Budget-checkpoint cadence inside parallel workers: tight enough that
+// deadlines and cancellation land promptly even when the per-instance work
+// is expensive.
 constexpr std::uint64_t kGovernStride = 128;
+
+// Charges `n` examined instances to a parallel search's budget; false once
+// the budget has stopped. A governed search beats its op through the
+// budget checkpoint; an ungoverned one beats here, so the stall watchdog
+// sees both.
+bool ChargeInstances(guard::Budget* budget, std::uint64_t n) {
+  if (budget == nullptr) obs::OpHeartbeat(n);
+  return guard::IsComplete(guard::Check(budget, n));
+}
 
 std::vector<Value> UniverseFor(const EnumerationOptions& options) {
   std::vector<Value> universe;
@@ -40,8 +44,6 @@ DeterminacySearchResult SearchDeterminacyCounterexampleSerial(
   DeterminacySearchResult result;
 
   obs::CounterSite instances = obs::GetCounterSite("search.instances");
-  obs::ProgressTicker ticker("search.instances", kProgressStride,
-                             options.max_instances);
 
   // The examined tally is a local count of body invocations (mirrored into
   // the shared obs counter): a local count, unlike a counter *delta*, stays
@@ -55,16 +57,14 @@ DeterminacySearchResult SearchDeterminacyCounterexampleSerial(
   };
   std::map<std::string, GroupInfo> groups;
 
-  bool cancelled = false;
   EnumerationOutcome outcome;
   try {
     outcome = ForEachInstance(base, options, [&](const Instance& d) {
       instances.Increment();
       ++examined;
-      if (!ticker.Tick()) {
-        cancelled = true;
-        return false;
-      }
+      // ForEachInstance checkpoints a governed sweep (which beats the op)
+      // before every instance; an ungoverned sweep beats here.
+      if (options.budget == nullptr) obs::OpHeartbeat();
       VQDR_FAULT_ALLOC("search.instances");
       Instance image = views.Apply(d);
       std::string key = image.ToKey();
@@ -96,9 +96,9 @@ DeterminacySearchResult SearchDeterminacyCounterexampleSerial(
   }
   result.instances_examined = examined;
   if (result.verdict != SearchVerdict::kCounterexampleFound &&
-      (!outcome.complete || cancelled)) {
+      !outcome.complete) {
     result.verdict = SearchVerdict::kBudgetExhausted;
-    result.outcome = cancelled ? guard::Outcome::kCancelled : outcome.outcome;
+    result.outcome = outcome.outcome;
   }
   return result;
 }
@@ -137,15 +137,14 @@ DeterminacySearchResult SearchDeterminacyCounterexampleParallel(
 
   std::vector<SearchChunk> chunks(plan.num_chunks);
   par::FirstHit hint;
-  par::OpContext op("search.instances", options.max_instances,
-                    kProgressStride, options.budget);
+  guard::Budget* budget = options.budget;
   obs::CounterSite instances = obs::GetCounterSite("search.instances");
 
   std::uint64_t pool_errors = 0;
   {
     par::ThreadPool pool(threads);
     par::ParallelForChunks(pool, plan.num_chunks, [&](std::uint64_t c) {
-      if (op.cancelled()) return;
+      if (!guard::IsComplete(guard::StopReason(budget))) return;
       const std::uint64_t begin = plan.Begin(c);
       // A conflict strictly before this chunk already beats anything the
       // chunk could contribute (lowest index wins) — skip it.
@@ -175,7 +174,7 @@ DeterminacySearchResult SearchDeterminacyCounterexampleParallel(
               hint.TryImprove(idx);
             }
             if (++since_report >= kGovernStride) {
-              if (!op.AddProgress(since_report)) {
+              if (!ChargeInstances(budget, since_report)) {
                 completed = false;
                 return false;
               }
@@ -188,7 +187,7 @@ DeterminacySearchResult SearchDeterminacyCounterexampleParallel(
             }
             return true;
           });
-      op.AddProgress(since_report);
+      ChargeInstances(budget, since_report);
       instances.Add(chunk.examined);
       chunk.processed = completed;
     });
@@ -197,9 +196,7 @@ DeterminacySearchResult SearchDeterminacyCounterexampleParallel(
     pool_errors = pool.error_count();
     if (pool_errors > 0) pool.TakeFirstError();
   }
-  if (pool_errors > 0 && options.budget != nullptr) {
-    options.budget->MarkInternalError();
-  }
+  if (pool_errors > 0 && budget != nullptr) budget->MarkInternalError();
 
   // Deterministic merge, in chunk order. The merge stops at the first
   // unprocessed chunk: chunks are only skipped when a conflict strictly
@@ -242,6 +239,7 @@ DeterminacySearchResult SearchDeterminacyCounterexampleParallel(
     }
   }
 
+  const guard::Outcome stop = guard::StopReason(budget);
   DeterminacySearchResult result;
   if (best_index != par::FirstHit::kNone) {
     VQDR_COUNTER_INC("search.counterexamples");
@@ -249,12 +247,12 @@ DeterminacySearchResult SearchDeterminacyCounterexampleParallel(
     result.counterexample = DeterminacyCounterexample{*best_d1, *best_d2};
     // The serial sweep stops on the conflicting instance: index + 1 bodies.
     result.instances_examined = best_index + 1;
-  } else if (!prefix_complete || truncated || op.cancelled() ||
+  } else if (!prefix_complete || truncated || !guard::IsComplete(stop) ||
              pool_errors > 0) {
     result.verdict = SearchVerdict::kBudgetExhausted;
     result.instances_examined = prefix;
-    result.outcome = op.outcome();
-    if (pool_errors > 0) result.outcome = guard::Outcome::kInternalError;
+    result.outcome =
+        pool_errors > 0 ? guard::Outcome::kInternalError : stop;
     if (guard::IsComplete(result.outcome)) {
       // Space truncation without a budget trip: same class of stop as a
       // step budget.
@@ -273,8 +271,6 @@ MonotonicitySearchResult SearchMonotonicityViolationSerial(
   MonotonicitySearchResult result;
 
   obs::CounterSite instances = obs::GetCounterSite("search.mono.instances");
-  obs::ProgressTicker ticker("search.mono.instances", kProgressStride,
-                             options.max_instances);
   std::uint64_t examined = 0;
 
   struct Entry {
@@ -284,16 +280,12 @@ MonotonicitySearchResult SearchMonotonicityViolationSerial(
   };
   std::vector<Entry> entries;
 
-  bool cancelled = false;
   EnumerationOutcome outcome;
   try {
     outcome = ForEachInstance(base, options, [&](const Instance& d) {
       instances.Increment();
       ++examined;
-      if (!ticker.Tick()) {
-        cancelled = true;
-        return false;
-      }
+      if (options.budget == nullptr) obs::OpHeartbeat();
       VQDR_FAULT_ALLOC("search.instances");
       entries.push_back(Entry{d, views.Apply(d), q.Eval(d)});
       return true;
@@ -336,9 +328,9 @@ MonotonicitySearchResult SearchMonotonicityViolationSerial(
     }
     if (row_pairs != 0) pairs.Add(row_pairs);
   }
-  if (!outcome.complete || cancelled) {
+  if (!outcome.complete) {
     result.verdict = SearchVerdict::kBudgetExhausted;
-    result.outcome = cancelled ? guard::Outcome::kCancelled : outcome.outcome;
+    result.outcome = outcome.outcome;
   }
   return result;
 }
@@ -369,12 +361,11 @@ MonotonicitySearchResult SearchMonotonicityViolationParallel(
     std::vector<Entry> entries;
   };
   std::vector<EntryChunk> entry_chunks(plan.num_chunks);
-  par::OpContext op("search.mono.instances", options.max_instances,
-                    kProgressStride, options.budget);
+  guard::Budget* budget = options.budget;
   obs::CounterSite instances = obs::GetCounterSite("search.mono.instances");
 
   par::ParallelForChunks(pool, plan.num_chunks, [&](std::uint64_t c) {
-    if (op.cancelled()) return;
+    if (!guard::IsComplete(guard::StopReason(budget))) return;
     EntryChunk& chunk = entry_chunks[c];
     chunk.entries.reserve(plan.Size(c));
     std::uint64_t since_report = 0;
@@ -386,7 +377,7 @@ MonotonicitySearchResult SearchMonotonicityViolationParallel(
                      chunk.entries.push_back(
                          Entry{d, views.Apply(d), q.Eval(d)});
                      if (++since_report >= kGovernStride) {
-                       if (!op.AddProgress(since_report)) {
+                       if (!ChargeInstances(budget, since_report)) {
                          completed = false;
                          return false;
                        }
@@ -394,14 +385,14 @@ MonotonicitySearchResult SearchMonotonicityViolationParallel(
                      }
                      return true;
                    });
-    op.AddProgress(since_report);
+    ChargeInstances(budget, since_report);
     instances.Add(chunk.examined);
     chunk.processed = completed;
   });
   std::uint64_t pool_errors = pool.error_count();
   if (pool_errors > 0) {
     pool.TakeFirstError();
-    if (options.budget != nullptr) options.budget->MarkInternalError();
+    if (budget != nullptr) budget->MarkInternalError();
   }
 
   std::vector<Entry> entries;
@@ -443,7 +434,7 @@ MonotonicitySearchResult SearchMonotonicityViolationParallel(
     for (std::uint64_t a = row_begin; a < row_plan.End(c) && !hit.found;
          ++a) {
       // One budget step per row, matching the serial scan's granularity.
-      if (!guard::IsComplete(guard::Check(options.budget))) {
+      if (!guard::IsComplete(guard::Check(budget))) {
         completed = false;
         break;
       }
@@ -467,7 +458,7 @@ MonotonicitySearchResult SearchMonotonicityViolationParallel(
   if (scan_errors > 0) {
     pool.TakeFirstError();
     pool_errors += scan_errors;
-    if (options.budget != nullptr) options.budget->MarkInternalError();
+    if (budget != nullptr) budget->MarkInternalError();
   }
 
   bool found = false;
@@ -499,14 +490,12 @@ MonotonicitySearchResult SearchMonotonicityViolationParallel(
         entries[best_b].image};
     return result;
   }
+  const guard::Outcome stop = guard::StopReason(budget);
   if (!enumeration_complete || !row_scan_complete || truncated ||
-      op.cancelled() || pool_errors > 0) {
+      !guard::IsComplete(stop) || pool_errors > 0) {
     result.verdict = SearchVerdict::kBudgetExhausted;
-    result.outcome = op.outcome();
-    if (pool_errors > 0) result.outcome = guard::Outcome::kInternalError;
-    if (guard::IsComplete(result.outcome)) {
-      result.outcome = guard::StopReason(options.budget);
-    }
+    result.outcome =
+        pool_errors > 0 ? guard::Outcome::kInternalError : stop;
     if (guard::IsComplete(result.outcome)) {
       result.outcome = guard::Outcome::kStepBudgetExhausted;
     }

@@ -59,9 +59,11 @@ struct DeterminacySearchResult {
 };
 
 /// Enumerates every instance over `base` within `options`, groups by view
-/// image, and reports the first group on which Q disagrees. Reports
-/// liveness through obs::ReportProgress ("search.instances"); a progress
-/// callback returning false stops the search with kBudgetExhausted.
+/// image, and reports the first group on which Q disagrees. The search
+/// stops only through options.budget (deadline, steps, memory, or
+/// Budget::Cancel() from any thread), with kBudgetExhausted over the honest
+/// examined prefix; an ungoverned search still heartbeats its op, so the
+/// stall watchdog sees it.
 ///
 /// With options.threads > 1 the instance space is sharded across a
 /// work-stealing pool; the merge is deterministic and lowest-index-wins, so

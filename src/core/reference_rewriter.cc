@@ -7,7 +7,6 @@
 #include "core/rewriting.h"
 #include "cq/containment.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace vqdr {
@@ -25,8 +24,6 @@ ReferenceRewritingResult FindCqRewritingByEnumeration(
   // call rather than a private tally (searches are single-threaded).
   obs::Counter& candidates = obs::GetCounter("rewrite.candidates");
   const std::uint64_t candidates_before = candidates.value();
-  obs::ProgressTicker ticker("rewrite.candidates", /*stride=*/1024,
-                             options.max_candidates);
 
   // Head: fresh variables h1..hk; body variables drawn from the heads plus
   // a pool b1..bp.
@@ -49,10 +46,6 @@ ReferenceRewritingResult FindCqRewritingByEnumeration(
     if (candidates.value() - candidates_before > options.max_candidates) {
       result.exhaustive = false;
       return true;  // stop everything
-    }
-    if (!ticker.Tick()) {
-      result.exhaustive = false;
-      return true;  // progress callback requested a stop
     }
     ConjunctiveQuery candidate(q.head_name(), head_terms);
     for (const Atom& a : atoms) candidate.AddAtom(a);

@@ -1,6 +1,5 @@
 #include "cq/containment.h"
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <optional>
@@ -17,7 +16,6 @@
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/pool.h"
 
 namespace vqdr {
 
@@ -205,8 +203,7 @@ bool ForEachIdentificationPattern(
 
 // Freezes one collapsed query and applies `check` to the resulting canonical
 // database. Patterns inconsistent with the collapsed disequalities are
-// vacuously satisfied. Pure (thread-safe given a thread-safe `check`):
-// everything it touches is local or const.
+// vacuously satisfied.
 bool CheckPattern(const ConjunctiveQuery& collapsed,
                   const ValueFactory& base_factory,
                   const std::function<bool(const PatternInstance&)>& check) {
@@ -242,26 +239,22 @@ struct SweepOutcome {
 // q1 ⊆ q2: for pure q1/q2 the single all-distinct freezing is complete
 // (Chandra–Merlin); with disequalities on either side, completeness needs
 // every identification pattern (van der Meyden's classical test for CQ≠
-// containment).
-//
-// threads > 1 fans the identification-pattern sweep across a work-stealing
-// pool in bounded batches with early exit on the first failing pattern (the
-// witness of non-containment); `body` then runs concurrently and must be
-// thread-safe. The verdict is the same conjunction either way.
+// containment). The sweep stops at the first failing pattern (the witness
+// of non-containment).
 //
 // `budget`, when non-null, is charged one step per pattern; a trip stops
 // the sweep (check budget->Stopped() to distinguish from completion).
-// Exceptions from pattern checks are captured into internal_error — in the
-// parallel sweep by the pool, serially right here — and never propagate.
+// Exceptions from pattern checks are captured into internal_error and never
+// propagate.
 SweepOutcome SweepCanonicalDbs(
     const ConjunctiveQuery& q1, const std::set<Value>& all_constants,
-    bool need_patterns, int threads, guard::Budget* budget,
+    bool need_patterns, guard::Budget* budget,
     const std::function<bool(const PatternInstance&)>& body) {
   ValueFactory base_factory;
   for (Value c : all_constants) base_factory.NoteUsed(c);
   SweepOutcome out;
 
-  // The all-distinct freezing is one pattern; nothing to fan out.
+  // The all-distinct freezing is the only pattern.
   if (!need_patterns) {
     if (!guard::IsComplete(guard::Check(budget))) return out;
     try {
@@ -271,53 +264,6 @@ SweepOutcome SweepCanonicalDbs(
       if (budget != nullptr) budget->MarkInternalError();
       out.internal_error = true;
     }
-    return out;
-  }
-
-  if (threads > 1) {
-    const std::size_t batch_size =
-        static_cast<std::size_t>(threads) * 16;
-    std::vector<ConjunctiveQuery> batch;
-    batch.reserve(batch_size);
-    std::atomic<bool> witness_found{false};
-    std::atomic<std::uint64_t> patterns{0};
-    par::ThreadPool pool(threads);
-    auto flush = [&]() -> bool {
-      for (ConjunctiveQuery& collapsed : batch) {
-        pool.Submit(
-            [&witness_found, &patterns, &base_factory, &body, &collapsed,
-             budget] {
-              if (witness_found.load(std::memory_order_relaxed)) return;
-              if (!guard::IsComplete(guard::Check(budget))) return;
-              bool pass = CheckPattern(collapsed, base_factory, body);
-              patterns.fetch_add(1, std::memory_order_relaxed);
-              if (pass) return;
-              if (budget != nullptr && budget->Stopped()) return;
-              witness_found.store(true, std::memory_order_relaxed);
-            });
-      }
-      pool.Wait();
-      batch.clear();
-      if (pool.error_count() > 0) {
-        // A pattern check threw inside a worker; the pool captured it and
-        // drained the rest of the batch.
-        pool.TakeFirstError();
-        if (budget != nullptr) budget->MarkInternalError();
-        out.internal_error = true;
-      }
-      return !witness_found.load(std::memory_order_relaxed) &&
-             !out.internal_error &&
-             !(budget != nullptr && budget->Stopped());
-    };
-    ForEachIdentificationPattern(
-        q1, all_constants, [&](const ConjunctiveQuery& collapsed) {
-          batch.push_back(collapsed);
-          if (batch.size() >= batch_size) return flush();
-          return true;
-        });
-    if (!out.internal_error) flush();
-    out.patterns = patterns.load(std::memory_order_relaxed);
-    out.all_passed = !witness_found.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -395,9 +341,8 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
 
     bool need_patterns = n1.UsesDisequality() || n2.UsesDisequality();
     SweepOutcome sweep = SweepCanonicalDbs(
-        n1, UnionConstants(n1, n2), need_patterns,
-        par::ResolveThreads(options.threads),
-        budget, [&](const PatternInstance& pattern) {
+        n1, UnionConstants(n1, n2), need_patterns, budget,
+        [&](const PatternInstance& pattern) {
           bool want_explain = obs::Wants(options.explain);
           Binding witness;
           bool pass = CqAnswerContains(n2, pattern.instance,
@@ -497,9 +442,8 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
       bool need_patterns = normalized.UsesDisequality() || q2_uses_diseq;
 
       SweepOutcome sweep = SweepCanonicalDbs(
-          normalized, constants, need_patterns,
-          par::ResolveThreads(options.threads),
-          budget, [&](const PatternInstance& pattern) {
+          normalized, constants, need_patterns, budget,
+          [&](const PatternInstance& pattern) {
             if (obs::Wants(options.explain)) {
               return ExplainedUcqCheck(options.explain, q2, pattern, budget);
             }

@@ -13,15 +13,6 @@ namespace vqdr {
 
 /// Options for the containment tests.
 struct CqContainmentOptions {
-  /// Worker count for the identification-pattern sweep that CQ(≠)
-  /// containment performs: 1 = the original serial sweep, 0 =
-  /// par::DefaultThreads(), N > 1 = fan the patterns across a work-stealing
-  /// pool with early exit on the first witness of non-containment. The
-  /// verdict is identical at every thread count (it is a conjunction over
-  /// patterns, so order cannot matter). Pure CQs have a single canonical
-  /// database and never fan out.
-  int threads = 1;
-
   /// Optional resource budget: one step per identification pattern, plus a
   /// poll per matcher backtracking node inside each pattern check. Only the
   /// *Governed entry points honour it; the bool APIs run their governed
@@ -40,9 +31,9 @@ struct CqContainmentOptions {
   /// every pattern check appends an event: a kWitness with the replayable
   /// homomorphism when the pattern passed, a kRefutation carrying the
   /// canonical database when it failed, plus kMemo events for cache probes.
-  /// Appends are internally synchronized, so parallel sweeps share the log
-  /// safely. The artifact grows with the identification-pattern count —
-  /// attach it to targeted checks, not bulk batteries.
+  /// Appends are internally synchronized, so callers on several threads may
+  /// share one log. The artifact grows with the identification-pattern
+  /// count — attach it to targeted checks, not bulk batteries.
   obs::ExplainLog* explain = nullptr;
 };
 

@@ -23,7 +23,7 @@ enum class Outcome {
   kStepBudgetExhausted,
   /// The materialized-atom allowance (the memory proxy) ran out.
   kMemoryBudgetExhausted,
-  /// Budget::Cancel() was called or a progress callback returned false.
+  /// Budget::Cancel() was called, from any thread.
   kCancelled,
   /// A task exception, allocation failure, or injected fault was captured;
   /// the engine unwound cleanly but computed no verdict.

@@ -96,7 +96,7 @@ struct OpSlot : std::enable_shared_from_this<OpSlot> {
   std::string owned_label;
   /// Microseconds since the telemetry epoch at registration.
   std::uint64_t start_us = 0;
-  /// Liveness ticks: guard checkpoints, progress strides, pool progress.
+  /// Liveness ticks: guard checkpoints and direct OpHeartbeat() calls.
   std::atomic<std::uint64_t> heartbeats{0};
   /// Pool tasks that ran under this operation.
   std::atomic<std::uint64_t> tasks{0};
@@ -142,8 +142,10 @@ inline OpId CurrentOpId() {
 }
 
 /// Records `n` liveness ticks against the bound operation (no-op when none).
-/// Fed by guard::Budget checkpoints, progress tickers, and pool progress;
-/// the watchdog treats a frozen heartbeat count as the stall signal.
+/// Fed by guard::Budget checkpoints and, so that ungoverned calls stay
+/// visible too, by the engines' long loops directly (each search instance,
+/// chase level and batch item); the watchdog treats a frozen heartbeat
+/// count as the stall signal.
 inline void OpHeartbeat(std::uint64_t n = 1) {
   internal::OpSlot* op = internal::t_current_op;
   if (op != nullptr) op->heartbeats.fetch_add(n, std::memory_order_relaxed);

@@ -122,8 +122,8 @@ struct ExplainEvent {
 };
 
 /// A thread-safe, copyable append log of ExplainEvents. Engines append
-/// under an internal mutex (parallel sweeps share one log); readers take
-/// a snapshot copy. Carried by value on DeterminacyReport.
+/// under an internal mutex (callers on several threads may share one log);
+/// readers take a snapshot copy. Carried by value on DeterminacyReport.
 class ExplainLog {
  public:
   ExplainLog() = default;

@@ -14,10 +14,11 @@
 // flat — for longer than the configured interval.
 //
 // Progress is fed by heartbeats the engines already emit: every
-// guard::Budget checkpoint, progress-ticker stride, and par shard progress
-// tick. The watchdog only OBSERVES: it never cancels, never unblocks, never
-// alters a verdict. Exactly one report is emitted per stall; if the op
-// resumes, the trigger re-arms.
+// guard::Budget checkpoint, plus one obs::OpHeartbeat per search instance,
+// chase level and batch item of an ungoverned call. The watchdog only
+// OBSERVES: it never cancels, never unblocks, never alters a verdict.
+// Exactly one report is emitted per stall; if the op resumes, the trigger
+// re-arms.
 //
 //   VQDR_WATCHDOG_MS=2000 ./determinacy_tool ...   # report 2s stalls
 

@@ -12,9 +12,9 @@
 #include <thread>
 #include <vector>
 
-// Work-stealing thread pool for the combinatorial engines (the bounded
-// counterexample searches, the CQ(≠) identification-pattern sweep, the
-// determinacy batch runner). Design constraints, in order:
+// Work-stealing thread pool for the bounded counterexample and
+// monotonicity searches (core/finite_search), the one fan-out that measures
+// faster than its serial sweep. Design constraints, in order:
 //
 //  1. *Deterministic results*: the pool only schedules; every parallel
 //     algorithm built on it (par/shard.h) merges worker output in a fixed
@@ -31,9 +31,9 @@ namespace vqdr::par {
 /// otherwise std::thread::hardware_concurrency(). Always >= 1.
 int DefaultThreads();
 
-/// The worker count for a `threads` option, one rule for every engine and
-/// the service: 0 asks for DefaultThreads(), a negative request runs one
-/// worker (serially), and N >= 1 is taken as is. Always >= 1.
+/// The worker count for EnumerationOptions::threads, the one thread-count
+/// option in the engines: 0 asks for DefaultThreads(), a negative request
+/// runs one worker (serially), and N >= 1 is taken as is. Always >= 1.
 int ResolveThreads(int requested);
 
 /// A fixed-size work-stealing pool. Tasks submitted from outside the pool

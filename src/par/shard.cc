@@ -1,7 +1,5 @@
 #include "par/shard.h"
 
-#include "obs/progress.h"
-
 namespace vqdr::par {
 
 ShardPlan PlanShards(std::uint64_t total, int threads,
@@ -27,41 +25,6 @@ ShardPlan PlanShards(std::uint64_t total, int threads,
   plan.chunk = chunk;
   plan.num_chunks = (total + chunk - 1) / chunk;
   return plan;
-}
-
-OpContext::OpContext(const char* phase, std::uint64_t total,
-                     std::uint64_t stride, guard::Budget* budget)
-    : phase_(phase),
-      total_(total),
-      stride_(stride == 0 ? 1 : stride),
-      enabled_(obs::ProgressEnabled()),
-      budget_(budget),
-      next_report_(stride == 0 ? 1 : stride) {}
-
-bool OpContext::AddProgress(std::uint64_t n) {
-  std::uint64_t done = done_.fetch_add(n, std::memory_order_relaxed) + n;
-  // Governed calls heartbeat through the budget's checkpoint observer; an
-  // ungoverned sweep must tick the op registry itself to stay visible to
-  // the stall watchdog.
-  if (budget_ == nullptr) obs::OpHeartbeat(n);
-  if (!guard::IsComplete(guard::Check(budget_, n))) {
-    Cancel();
-    return false;
-  }
-  if (!enabled_) return !cancelled();
-  if (done >= next_report_.load(std::memory_order_relaxed)) {
-    // One reporter at a time; a worker that loses the race just skips the
-    // report (the winner carries the aggregate count anyway).
-    if (report_mu_.try_lock()) {
-      std::lock_guard<std::mutex> lock(report_mu_, std::adopt_lock);
-      std::uint64_t next = next_report_.load(std::memory_order_relaxed);
-      if (done >= next) {
-        next_report_.store(done + stride_, std::memory_order_relaxed);
-        if (!obs::ReportProgress(phase_, done, total_)) Cancel();
-      }
-    }
-  }
-  return !cancelled();
 }
 
 }  // namespace vqdr::par

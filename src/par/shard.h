@@ -3,15 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 
-#include "guard/budget.h"
-
-// Deterministic sharding and merge primitives on top of par/pool.h.
+// Deterministic sharding and merge primitives on top of par/pool.h, used by
+// the bounded searches in core/finite_search.
 //
-// The contract every parallel engine in this library honours: the *answer*
-// is a pure function of the input, never of the schedule. The pieces here
-// make that cheap to get right:
+// The contract the parallel searches honour: the *answer* is a pure
+// function of the input, never of the schedule. The pieces here make that
+// cheap to get right:
 //
 //  * ShardPlan/PlanShards — a chunking of an index space [0, total) that
 //    depends only on (total, threads), so a run at a given thread count
@@ -22,10 +20,9 @@
 //    beyond i can be skipped, because the lowest-index hit wins the merge
 //    and every candidate in such a chunk has a larger index. Skipping is a
 //    pure optimisation; the merge never reads the hint.
-//  * OpContext — per-operation cancellation + aggregated progress reporting
-//    riding the process-wide obs::ReportProgress hook. Workers report
-//    batches of completed units; a callback returning false flips the
-//    cancel flag, which workers poll at chunk/stride granularity.
+//
+// Stopping is not a par concern: workers charge the caller's guard::Budget
+// and read its sticky stop reason.
 
 namespace vqdr::par {
 
@@ -74,54 +71,6 @@ class FirstHit {
 
  private:
   std::atomic<std::uint64_t> best_{kNone};
-};
-
-/// Shared state of one parallel operation: a cancel flag plus aggregated
-/// progress, reported through obs::ReportProgress under the operation's
-/// phase name. Reports are throttled to one per `stride` completed units and
-/// serialized across workers (progress callbacks were written for
-/// single-threaded tickers; they never see concurrent invocations).
-class OpContext {
- public:
-  /// `budget`, when non-null, is charged by every AddProgress call; a budget
-  /// trip cancels the operation the same way a progress callback would.
-  OpContext(const char* phase, std::uint64_t total, std::uint64_t stride,
-            guard::Budget* budget = nullptr);
-
-  /// Records `n` completed units against the budget and the progress
-  /// aggregate. May invoke the progress callback; if the callback asks to
-  /// stop or the budget trips, the operation is cancelled. Returns false
-  /// once cancelled — callers should unwind at the next safe point.
-  bool AddProgress(std::uint64_t n);
-
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t done() const { return done_.load(std::memory_order_relaxed); }
-
-  guard::Budget* budget() const { return budget_; }
-
-  /// How the operation ended: the budget's stop reason when it tripped,
-  /// kCancelled for a callback-driven stop, kComplete otherwise.
-  guard::Outcome outcome() const {
-    guard::Outcome o = guard::StopReason(budget_);
-    if (!guard::IsComplete(o)) return o;
-    return cancelled() ? guard::Outcome::kCancelled
-                       : guard::Outcome::kComplete;
-  }
-
- private:
-  const char* phase_;
-  std::uint64_t total_;
-  std::uint64_t stride_;
-  bool enabled_;
-  guard::Budget* budget_;
-  std::atomic<std::uint64_t> done_{0};
-  std::atomic<std::uint64_t> next_report_;
-  std::mutex report_mu_;
-  std::atomic<bool> cancelled_{false};
 };
 
 }  // namespace vqdr::par

@@ -1,7 +1,7 @@
 // Chaos battery for the guard subsystem (ctest label GUARD): every fault
 // kind — injected allocation failure, task-throw inside the thread pool,
 // cancellation at exactly step N — fired at randomized-but-seeded steps
-// into search, chase, containment, and batch at thread counts {1, 2, 8}.
+// into search (at thread counts {1, 2, 8}), chase, containment, and batch.
 // Every scenario must end in a clean structured outcome: no crash, no
 // deadlock, pool fully drained, no wrong or fabricated verdict, and a
 // budget-exhausted prefix identical to the same prefix of an unbudgeted
@@ -251,22 +251,18 @@ TEST_F(GuardChaosFixture, ContainmentSurvivesAllocFailureInPatternSweep) {
   ConjunctiveQuery q2 = Cq("Q(a, b, c, d, e) :- R(a, b), R(b, c), R(d, e)");
   Rng rng(0x9A77E59);
 
-  for (int threads : kThreadCounts) {
-    std::uint64_t at = 1 + rng.Below(8);
-    FaultScope fault(FaultKind::kAllocFailure, "cq.pattern", at);
-    Budget budget;
-    CqContainmentOptions options;
-    options.threads = threads;
-    options.budget = &budget;
-    ContainmentResult result = CqContainedInGoverned(q1, q2, options);
-    EXPECT_TRUE(guard::FaultFired()) << "threads=" << threads << " at=" << at;
-    EXPECT_EQ(result.outcome, Outcome::kInternalError)
-        << "threads=" << threads << " at=" << at;
-    // The sweep never completed, so the (true) verdict is only "no witness
-    // so far" — the definitive false verdict must never appear, because
-    // q1 ⊆ q2 really does hold.
-    EXPECT_TRUE(result.contained);
-  }
+  std::uint64_t at = 1 + rng.Below(8);
+  FaultScope fault(FaultKind::kAllocFailure, "cq.pattern", at);
+  Budget budget;
+  CqContainmentOptions options;
+  options.budget = &budget;
+  ContainmentResult result = CqContainedInGoverned(q1, q2, options);
+  EXPECT_TRUE(guard::FaultFired()) << "at=" << at;
+  EXPECT_EQ(result.outcome, Outcome::kInternalError) << "at=" << at;
+  // The sweep never completed, so the (true) verdict is only "no witness so
+  // far" — the definitive false verdict must never appear, because q1 ⊆ q2
+  // really does hold.
+  EXPECT_TRUE(result.contained);
 }
 
 TEST_F(GuardChaosFixture, ContainmentCancelAtStepStopsSweep) {
@@ -274,16 +270,13 @@ TEST_F(GuardChaosFixture, ContainmentCancelAtStepStopsSweep) {
       "Q(a, b, c, d, e) :- R(a, b), R(b, c), R(c, d), R(d, e), a != e");
   ConjunctiveQuery q2 = Cq("Q(a, b, c, d, e) :- R(a, b), R(b, c), R(d, e)");
 
-  for (int threads : kThreadCounts) {
-    FaultScope fault(FaultKind::kCancel, nullptr, /*at_hit=*/3);
-    Budget budget;
-    CqContainmentOptions options;
-    options.threads = threads;
-    options.budget = &budget;
-    ContainmentResult result = CqContainedInGoverned(q1, q2, options);
-    EXPECT_TRUE(guard::FaultFired()) << "threads=" << threads;
-    EXPECT_EQ(result.outcome, Outcome::kCancelled) << "threads=" << threads;
-  }
+  FaultScope fault(FaultKind::kCancel, nullptr, /*at_hit=*/3);
+  Budget budget;
+  CqContainmentOptions options;
+  options.budget = &budget;
+  ContainmentResult result = CqContainedInGoverned(q1, q2, options);
+  EXPECT_TRUE(guard::FaultFired());
+  EXPECT_EQ(result.outcome, Outcome::kCancelled);
 }
 
 // --- batch under fire ------------------------------------------------------
@@ -302,42 +295,32 @@ TEST_F(GuardChaosFixture, BatchSurvivesEveryFaultKind) {
   }
 
   Rng rng(0xBA7C4);
-  for (int threads : kThreadCounts) {
-    struct Scenario {
-      FaultKind kind;
-      const char* site;
-      Outcome expected;
-    };
-    std::vector<Scenario> scenarios = {
-        {FaultKind::kAllocFailure, "chase.view_inverse",
-         Outcome::kInternalError},
-        {FaultKind::kCancel, nullptr, Outcome::kCancelled},
-    };
-    if (threads > 1) {
-      scenarios.push_back(
-          {FaultKind::kTaskThrow, "pool.task", Outcome::kInternalError});
-    }
-    for (const Scenario& s : scenarios) {
-      std::uint64_t at = 1 + rng.Below(6);
-      FaultScope fault(s.kind, s.site, at);
-      Budget budget;
-      DeterminacyBatchResult result =
-          DecideUnrestrictedDeterminacyBatchGoverned(items, threads, &budget);
-      EXPECT_TRUE(guard::FaultFired())
-          << "threads=" << threads << " kind=" << static_cast<int>(s.kind)
-          << " at=" << at;
-      EXPECT_EQ(result.outcome, s.expected)
-          << "threads=" << threads << " kind=" << static_cast<int>(s.kind)
-          << " at=" << at;
-      EXPECT_LT(result.items_completed, items.size());
-      ASSERT_EQ(result.results.size(), items.size());
-      // No wrong verdicts: every item claiming completion matches the
-      // ungoverned truth for its (views, query) pair.
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (!guard::IsComplete(result.results[i].outcome)) continue;
-        EXPECT_EQ(result.results[i].determined, i % 2 == 0)
-            << "item " << i << " threads=" << threads;
-      }
+  struct Scenario {
+    FaultKind kind;
+    const char* site;
+    Outcome expected;
+  };
+  const Scenario scenarios[] = {
+      {FaultKind::kAllocFailure, "chase.view_inverse", Outcome::kInternalError},
+      {FaultKind::kCancel, nullptr, Outcome::kCancelled},
+  };
+  for (const Scenario& s : scenarios) {
+    std::uint64_t at = 1 + rng.Below(6);
+    FaultScope fault(s.kind, s.site, at);
+    Budget budget;
+    DeterminacyBatchResult result =
+        DecideUnrestrictedDeterminacyBatchGoverned(items, &budget);
+    EXPECT_TRUE(guard::FaultFired())
+        << "kind=" << static_cast<int>(s.kind) << " at=" << at;
+    EXPECT_EQ(result.outcome, s.expected)
+        << "kind=" << static_cast<int>(s.kind) << " at=" << at;
+    EXPECT_LT(result.items_completed, items.size());
+    ASSERT_EQ(result.results.size(), items.size());
+    // No wrong verdicts: every item claiming completion matches the
+    // ungoverned truth for its (views, query) pair.
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (!guard::IsComplete(result.results[i].outcome)) continue;
+      EXPECT_EQ(result.results[i].determined, i % 2 == 0) << "item " << i;
     }
   }
 }

@@ -406,7 +406,7 @@ TEST_F(GuardEngineFixture, GovernedBatchSharesOneEnvelope) {
 
   // Ungoverned: every item decided.
   DeterminacyBatchResult full =
-      DecideUnrestrictedDeterminacyBatchGoverned(items, /*threads=*/1);
+      DecideUnrestrictedDeterminacyBatchGoverned(items);
   EXPECT_EQ(full.outcome, Outcome::kComplete);
   EXPECT_EQ(full.items_completed, items.size());
   for (const auto& r : full.results) EXPECT_TRUE(r.determined);
@@ -415,7 +415,7 @@ TEST_F(GuardEngineFixture, GovernedBatchSharesOneEnvelope) {
   // rest carry the stop reason, and nothing claims a verdict it cannot.
   Budget budget(BudgetSpec{.max_steps = 4});
   DeterminacyBatchResult partial =
-      DecideUnrestrictedDeterminacyBatchGoverned(items, /*threads=*/1, &budget);
+      DecideUnrestrictedDeterminacyBatchGoverned(items, &budget);
   EXPECT_EQ(partial.outcome, Outcome::kStepBudgetExhausted);
   EXPECT_LT(partial.items_completed, items.size());
   ASSERT_EQ(partial.results.size(), items.size());

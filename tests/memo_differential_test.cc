@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/rng.h"
@@ -66,13 +67,39 @@ std::vector<DeterminacyBatchItem> SeededItems() {
   return doubled;
 }
 
+// Runs the batch decider on `threads` std::threads at once, each over its
+// own contiguous slice of `items`, all against `memo` — the sharing
+// vqdr-serve's connection threads do with the process store. With the
+// duplicated slate, two threads decide the same items concurrently.
+std::vector<UnrestrictedDeterminacyResult> DecideOnThreads(
+    const std::vector<DeterminacyBatchItem>& items, int threads,
+    const memo::MemoOptions& memo) {
+  std::vector<UnrestrictedDeterminacyResult> results(items.size());
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    const std::size_t begin = items.size() * t / threads;
+    const std::size_t end = items.size() * (t + 1) / threads;
+    workers.emplace_back([&items, &results, &memo, begin, end] {
+      std::vector<DeterminacyBatchItem> slice(items.begin() + begin,
+                                              items.begin() + end);
+      std::vector<UnrestrictedDeterminacyResult> decided =
+          DecideUnrestrictedDeterminacyBatch(slice, memo);
+      for (std::size_t i = 0; i < decided.size(); ++i) {
+        results[begin + i] = std::move(decided[i]);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  return results;
+}
+
 TEST(MemoDifferential, BatchDeterminacyColdVsWarmAcrossThreadCounts) {
   std::vector<DeterminacyBatchItem> items = SeededItems();
 
   // Cold baseline: serial, memo forced off.
   memo::MemoOptions off{memo::Use::kOff, nullptr};
   std::vector<UnrestrictedDeterminacyResult> cold =
-      DecideUnrestrictedDeterminacyBatch(items, /*threads=*/1, off);
+      DecideUnrestrictedDeterminacyBatch(items, off);
   ASSERT_EQ(cold.size(), items.size());
 
   // Warm runs share one store across every thread count: entries installed
@@ -81,7 +108,7 @@ TEST(MemoDifferential, BatchDeterminacyColdVsWarmAcrossThreadCounts) {
   memo::MemoOptions on{memo::Use::kOn, &store};
   for (int threads : {1, 2, 8}) {
     std::vector<UnrestrictedDeterminacyResult> warm =
-        DecideUnrestrictedDeterminacyBatch(items, threads, on);
+        DecideOnThreads(items, threads, on);
     ASSERT_EQ(warm.size(), cold.size());
     for (std::size_t i = 0; i < cold.size(); ++i) {
       ExpectSameResult(warm[i], cold[i],

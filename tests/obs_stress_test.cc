@@ -1,10 +1,11 @@
 // Concurrency battery for the observability surfaces (run under
 // ThreadSanitizer by the CI tsan job via the PAR label): drains the trace
 // ring, snapshots metrics, and exports Prometheus text WHILE the parallel
-// engines hammer the same structures from worker threads, at thread counts
-// 2 and 8. The assertions are deliberately weak — the verdicts must stay
-// correct and the drained events well-formed — because the point is the
-// data-race-freedom tsan checks, not the values.
+// search's pool workers, or several caller threads running engine calls at
+// once, hammer the same structures, at thread counts 2 and 8. The
+// assertions are deliberately weak — the verdicts must stay correct and the
+// drained events well-formed — because the point is the data-race-freedom
+// tsan checks, not the values.
 
 #include <gtest/gtest.h>
 
@@ -112,14 +113,20 @@ TEST_P(ObsStressFixture, SnapshottingMetricsWhileParallelSweepRecords) {
     }
   });
 
+  // GetParam() caller threads sweep identification patterns at once, each
+  // recording into the same counters and histograms the reader snapshots.
   ConjunctiveQuery left = Cq("Q(x, y) :- E(x, y), x != y");
   ConjunctiveQuery right = Cq("Q(x, y) :- E(x, y)");
-  CqContainmentOptions options;
-  options.threads = threads;
-  for (int i = 0; i < 3; ++i) {
-    VQDR_HISTOGRAM_RECORD("test.stress.hist", 1u << (i % 20));
-    EXPECT_TRUE(CqContainedIn(left, right, options));
+  std::vector<std::thread> writers;
+  for (int t = 0; t < threads; ++t) {
+    writers.emplace_back([&left, &right] {
+      for (int i = 0; i < 3; ++i) {
+        VQDR_HISTOGRAM_RECORD("test.stress.hist", 1u << (i % 20));
+        EXPECT_TRUE(CqContainedIn(left, right));
+      }
+    });
   }
+  for (std::thread& w : writers) w.join();
 
   done.store(true, std::memory_order_release);
   reader.join();
@@ -127,16 +134,22 @@ TEST_P(ObsStressFixture, SnapshottingMetricsWhileParallelSweepRecords) {
 
 TEST_P(ObsStressFixture, SharedExplainLogSurvivesParallelSweep) {
   const int threads = GetParam();
-  // One ExplainLog shared by every worker of the pattern sweep: appends must
-  // be internally synchronized, and every recorded witness must replay.
+  // One ExplainLog shared by GetParam() caller threads, each sweeping the
+  // same patterns: appends must be internally synchronized, and every
+  // recorded witness must replay.
   ConjunctiveQuery left = Cq("Q(x, y, z) :- E(x, y), E(y, z), x != z");
   ConjunctiveQuery right = Cq("Q(x, y, z) :- E(x, y), E(y, z)");
 
   obs::ExplainLog log;
   CqContainmentOptions options;
-  options.threads = threads;
   options.explain = &log;
-  EXPECT_TRUE(CqContainedIn(left, right, options));
+  std::vector<std::thread> writers;
+  for (int t = 0; t < threads; ++t) {
+    writers.emplace_back([&left, &right, &options] {
+      EXPECT_TRUE(CqContainedIn(left, right, options));
+    });
+  }
+  for (std::thread& w : writers) w.join();
 
   int witnesses = 0;
   for (const obs::ExplainEvent& e : log.events()) {

@@ -1,23 +1,26 @@
 // Tests for the observability layer: counter registry and snapshot/delta
 // semantics, histogram extremes, the trace ring buffer and JSONL sink
-// (including span nesting order), the progress hook, and the hot-path
-// macros.
+// (including span nesting order), the hot-path macros, and how a running
+// search is stopped (through its budget) and seen (through heartbeats).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/finite_search.h"
 #include "gen/workloads.h"
+#include "guard/budget.h"
 #include "obs/explain.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/progress.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace vqdr {
@@ -165,57 +168,57 @@ TEST(ObsTrace, DisabledSpansRecordNothing) {
   EXPECT_TRUE(obs::DrainTraceEvents().empty());
 }
 
-// --- progress --------------------------------------------------------------
+// --- stopping and watching a running search -------------------------------
 
-TEST(ObsProgress, TickerThrottlesAndReportsPhase) {
-  std::vector<std::uint64_t> reported;
-  obs::SetProgressCallback([&](const obs::ProgressEvent& e) {
-    EXPECT_STREQ(e.phase, "test.progress");
-    EXPECT_EQ(e.total, 100u);
-    reported.push_back(e.current);
-    return true;
-  });
-  obs::ProgressTicker ticker("test.progress", /*stride=*/10, /*total=*/100);
-  for (int i = 0; i < 35; ++i) EXPECT_TRUE(ticker.Tick());
-  obs::ClearProgressCallback();
-  EXPECT_EQ(reported, (std::vector<std::uint64_t>{10, 20, 30}));
-  EXPECT_EQ(ticker.count(), 35u);
-}
-
-TEST(ObsProgress, TickerLatchesCancellation) {
-  // Once the callback returns false, every later Tick() must keep
-  // returning false without re-asking (and possibly re-granting) on the
-  // next stride boundary.
-  int calls = 0;
-  obs::SetProgressCallback([&](const obs::ProgressEvent&) {
-    ++calls;
-    return false;
-  });
-  obs::ProgressTicker ticker("test.progress.latch", /*stride=*/4);
-  EXPECT_TRUE(ticker.Tick());   // 1
-  EXPECT_TRUE(ticker.Tick());   // 2
-  EXPECT_TRUE(ticker.Tick());   // 3
-  EXPECT_FALSE(ticker.Tick());  // 4: callback fires, cancels
-  EXPECT_TRUE(ticker.cancelled());
-  for (int i = 0; i < 10; ++i) EXPECT_FALSE(ticker.Tick());
-  obs::ClearProgressCallback();
-  EXPECT_EQ(calls, 1);  // never re-asked after the latch
-  EXPECT_EQ(ticker.count(), 4u);  // cancelled ticks are not counted as work
-}
-
-TEST(ObsProgress, CallbackCancellationStopsFiniteSearch) {
-  // A callback that cancels immediately turns the (huge) search into a
-  // budget-exhausted verdict after at most one stride of instances.
-  obs::SetProgressCallback(
-      [](const obs::ProgressEvent&) { return false; });
+// guard::Budget is the one way to stop a search that is already running: a
+// second thread cancels a 2^16-instance sweep once it has started, and the
+// search reports an honest prefix instead of a verdict.
+TEST(SearchStop, BudgetCancelFromAnotherThreadStopsRunningSearch) {
   ViewSet views = PathViews(2);
-  EnumerationOptions options;
-  options.domain_size = 4;  // 2^16 instances; cancellation must cut it short
-  DeterminacySearchResult result = SearchDeterminacyCounterexample(
-      views, Query::FromCq(ChainQuery(3)), Schema{{"E", 2}}, options);
-  obs::ClearProgressCallback();
-  EXPECT_EQ(result.verdict, SearchVerdict::kBudgetExhausted);
-  EXPECT_LE(result.instances_examined, 1024u);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    guard::Budget budget;
+    EnumerationOptions options;
+    options.domain_size = 4;  // 2^16 instances; the cancel must cut it short
+    options.threads = threads;
+    options.budget = &budget;
+    std::atomic<bool> returned{false};
+    std::thread canceller([&budget, &returned] {
+      // Charged steps show the sweep is under way.
+      while (budget.steps_used() == 0 && !returned.load()) {
+        std::this_thread::yield();
+      }
+      budget.Cancel();
+    });
+    DeterminacySearchResult result = SearchDeterminacyCounterexample(
+        views, Query::FromCq(ChainQuery(3)), Schema{{"E", 2}}, options);
+    returned.store(true);
+    canceller.join();
+    EXPECT_EQ(result.verdict, SearchVerdict::kBudgetExhausted);
+    EXPECT_EQ(result.outcome, guard::Outcome::kCancelled);
+    EXPECT_LT(result.instances_examined, 1u << 16);
+  }
+}
+
+// An ungoverned search has no budget checkpoints to beat through, yet its op
+// still shows heartbeats, so the stall watchdog can tell it from a hung one.
+TEST(SearchStop, UngovernedSearchStillHeartbeats) {
+  ViewSet views = PathViews(2);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    obs::SetKeepCompletedOps(4);
+    EnumerationOptions options;
+    options.domain_size = 3;  // 512 instances, no counterexample
+    options.threads = threads;
+    DeterminacySearchResult result = SearchDeterminacyCounterexample(
+        views, Query::FromCq(ChainQuery(3)), Schema{{"E", 2}}, options);
+    std::vector<obs::OpSnapshot> done = obs::RecentCompletedOps();
+    obs::SetKeepCompletedOps(0);
+    EXPECT_EQ(result.instances_examined, 512u);
+    ASSERT_FALSE(done.empty());
+    EXPECT_EQ(done.front().label, "search.determinacy");
+    EXPECT_GT(done.front().heartbeats, 0u);
+  }
 }
 
 // --- histogram buckets -----------------------------------------------------
@@ -566,7 +569,7 @@ TEST(ObsExplain, FromJsonRejectsGarbage) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST(ObsProgress, SearchTallyIsFedFromObsCounter) {
+TEST(ObsMetrics, SearchTallyIsFedFromObsCounter) {
   std::uint64_t before = obs::GetCounter("search.instances").value();
   ViewSet views = PathViews(2);
   EnumerationOptions options;

@@ -1,8 +1,10 @@
-// Differential battery for the parallel engines: on seeded random
+// Differential battery for the parallel searches: on seeded random
 // (views, query, bound) triples, every parallel code path must return
 // *exactly* the serial answer — same verdict, same first counterexample,
 // same examined count — at every thread count. 200 search triples plus
-// containment/monotonicity/batch sweeps.
+// monotonicity sweeps; the containment and batch cases compare each serial
+// engine against a second way into it (governed sweep, item-by-item
+// decisions).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "cq/containment.h"
 #include "gen/random_query.h"
 #include "gen/workloads.h"
+#include "guard/budget.h"
 
 namespace vqdr {
 namespace {
@@ -115,8 +118,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentDifferential,
                          ::testing::Range<std::uint64_t>(1, 81));
 
 // Random CQ pairs with injected disequalities (forcing the
-// identification-pattern sweep that actually fans out): the parallel sweep's
-// verdict must equal the serial one in both directions.
+// identification-pattern sweep): the governed sweep, charged one budget
+// step per pattern, must reach the ungoverned verdict in both directions.
 TEST_P(ContainmentDifferential, ParallelSweepMatchesSerialVerdict) {
   Rng rng(GetParam() + 1000);
   RandomCqOptions copts;
@@ -137,14 +140,13 @@ TEST_P(ContainmentDifferential, ParallelSweepMatchesSerialVerdict) {
 
   bool serial12 = CqContainedIn(q1, q2);
   bool serial21 = CqContainedIn(q2, q1);
-  for (int threads : {1, 2, 8}) {
-    CqContainmentOptions options;
-    options.threads = threads;
-    EXPECT_EQ(CqContainedIn(q1, q2, options), serial12)
-        << "seed " << GetParam() << " threads " << threads;
-    EXPECT_EQ(CqContainedIn(q2, q1, options), serial21)
-        << "seed " << GetParam() << " threads " << threads;
-  }
+  guard::Budget budget;
+  CqContainmentOptions options;
+  options.budget = &budget;
+  EXPECT_EQ(CqContainedInGoverned(q1, q2, options).contained, serial12)
+      << "seed " << GetParam();
+  EXPECT_EQ(CqContainedInGoverned(q2, q1, options).contained, serial21)
+      << "seed " << GetParam();
 }
 
 void ExpectSameDeterminacy(const UnrestrictedDeterminacyResult& a,
@@ -177,20 +179,17 @@ TEST(BatchDifferential, BatchMatchesItemwiseDecisionsInOrder) {
     expected.push_back(DecideUnrestrictedDeterminacy(item.views, item.query));
   }
 
-  for (int threads : {1, 2, 8}) {
-    std::vector<UnrestrictedDeterminacyResult> got =
-        DecideUnrestrictedDeterminacyBatch(items, threads);
-    ASSERT_EQ(got.size(), expected.size()) << "threads " << threads;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      SCOPED_TRACE(::testing::Message()
-                   << "item " << i << " threads " << threads);
-      ExpectSameDeterminacy(expected[i], got[i]);
-    }
+  std::vector<UnrestrictedDeterminacyResult> got =
+      DecideUnrestrictedDeterminacyBatch(items);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "item " << i);
+    ExpectSameDeterminacy(expected[i], got[i]);
   }
 }
 
 TEST(BatchDifferential, EmptyAndSingletonBatches) {
-  EXPECT_TRUE(DecideUnrestrictedDeterminacyBatch({}, 8).empty());
+  EXPECT_TRUE(DecideUnrestrictedDeterminacyBatch({}).empty());
 
   Rng rng(7);
   RandomCqOptions copts;
@@ -198,7 +197,7 @@ TEST(BatchDifferential, EmptyAndSingletonBatches) {
   item.views = RandomCqViews(rng, copts, 1);
   item.query = RandomCq(rng, copts);
   std::vector<UnrestrictedDeterminacyResult> got =
-      DecideUnrestrictedDeterminacyBatch({item}, 8);
+      DecideUnrestrictedDeterminacyBatch({item});
   ASSERT_EQ(got.size(), 1u);
   ExpectSameDeterminacy(
       DecideUnrestrictedDeterminacy(item.views, item.query), got[0]);

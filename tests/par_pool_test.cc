@@ -1,20 +1,18 @@
 // Unit tests for the work-stealing pool and the deterministic sharding
 // primitives (src/par), plus the indexed instance space they shard
-// (gen/enumerate.h InstanceSpace) — the pieces every parallel engine in the
-// library is built from.
+// (gen/enumerate.h InstanceSpace) — the pieces the parallel searches are
+// built from.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gen/enumerate.h"
-#include "obs/progress.h"
 #include "par/pool.h"
 #include "par/shard.h"
 
@@ -175,48 +173,6 @@ TEST(FirstHit, TryImproveReportsOnlyGenuineImprovements) {
   EXPECT_FALSE(hit.TryImprove(10));
   EXPECT_FALSE(hit.TryImprove(11));
   EXPECT_TRUE(hit.TryImprove(3));
-}
-
-// ---- OpContext ----
-
-TEST(OpContext, AggregatesProgressAcrossWorkers) {
-  std::mutex mu;
-  std::vector<std::uint64_t> reported;
-  obs::SetProgressCallback([&](const obs::ProgressEvent& e) {
-    std::lock_guard<std::mutex> lock(mu);
-    reported.push_back(e.current);
-    return true;
-  });
-  {
-    par::OpContext op("par.test", 1000, 10);
-    par::ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&op] { op.AddProgress(10); });
-    }
-    pool.Wait();
-    EXPECT_EQ(op.done(), 1000u);
-    EXPECT_FALSE(op.cancelled());
-  }
-  obs::ClearProgressCallback();
-  // Aggregated counts are monotone and at least one report fired.
-  ASSERT_FALSE(reported.empty());
-  for (std::size_t i = 1; i < reported.size(); ++i) {
-    EXPECT_GT(reported[i], reported[i - 1]);
-  }
-}
-
-TEST(OpContext, CallbackRefusalCancels) {
-  obs::SetProgressCallback([](const obs::ProgressEvent&) { return false; });
-  par::OpContext op("par.test", 100, 1);
-  EXPECT_FALSE(op.AddProgress(1));
-  EXPECT_TRUE(op.cancelled());
-  obs::ClearProgressCallback();
-}
-
-TEST(OpContext, NoCallbackMeansNoCancellation) {
-  par::OpContext op("par.test", 100, 1);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(op.AddProgress(1));
-  EXPECT_FALSE(op.cancelled());
 }
 
 // ---- InstanceSpace vs the serial enumeration ----

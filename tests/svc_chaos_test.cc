@@ -1,8 +1,8 @@
 // Chaos battery for the service layer (svc/service.h + guard/fault.h):
 // every injected fault must surface as a structured, Outcome-tagged
-// response — a worker throw becomes ok=false/"internal", a cancellation
+// response — a handler throw becomes ok=false/"internal", a cancellation
 // becomes an ok CANCELLED prefix, an injected stall is detected by the obs
-// watchdog whose cancel hook frees the admission slot. The worker pool and
+// watchdog whose cancel hook frees the admission slot. The service and
 // subsequent requests survive every scenario.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 
 #include "guard/fault.h"
 #include "guard/outcome.h"
+#include "memo/memo.h"
+#include "memo/store.h"
 #include "obs/watchdog.h"
 #include "svc/proto.h"
 #include "svc/service.h"
@@ -30,11 +32,17 @@ Request MustParse(const std::string& line) {
   return std::move(req).value();
 }
 
+// Service turns the process-wide memo store on, so a request one test
+// completed would answer the same request in a later test from the cache,
+// and that test's armed fault would never fire. Every test starts and ends
+// with an empty store.
 class SvcChaosTest : public ::testing::Test {
  protected:
+  void SetUp() override { memo::GlobalStore().Clear(); }
   void TearDown() override {
     guard::DisarmFaults();
     obs::StopWatchdog();
+    memo::GlobalStore().Clear();
   }
 };
 
@@ -55,7 +63,7 @@ TEST_F(SvcChaosTest, InjectedTaskThrowBecomesStructuredInternal) {
   EXPECT_EQ(stats.completed, 1u);  // the request finished, structurally
   EXPECT_EQ(service.in_flight(), 0u);  // slot freed
 
-  // The worker survived the throw: the next request is served normally.
+  // The service survived the throw: the next request is served normally.
   Response again = service.Handle(MustParse(kJoinRequest));
   EXPECT_TRUE(again.ok);
   EXPECT_EQ(again.outcome, guard::Outcome::kComplete);
