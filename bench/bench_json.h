@@ -42,14 +42,23 @@ struct RunRecord {
   std::map<std::string, double> counters;
 };
 
-// Console output as usual, capturing each per-iteration run on the side.
+// Console output as usual, capturing on the side each per-iteration run and
+// the mean and median aggregates of a repeated one, under the names Google
+// Benchmark gives them (BM_X/4_mean, BM_X/4_median). The stddev and cv
+// aggregates stay out: their "time" is a spread, not a duration.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   std::vector<RunRecord> records;
 
+  static bool Captured(const Run& run) {
+    if (run.error_occurred) return false;
+    return run.run_type == Run::RT_Iteration ||
+           run.aggregate_name == "mean" || run.aggregate_name == "median";
+  }
+
   void ReportRuns(const std::vector<Run>& report) override {
     for (const Run& run : report) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      if (!Captured(run)) continue;
       RunRecord rec;
       rec.name = run.benchmark_name();
       rec.iterations = static_cast<std::int64_t>(run.iterations);

@@ -43,11 +43,11 @@ struct DeterminacySearchResult {
   /// The serial-order prefix length this verdict rests on: with a
   /// counterexample at enumeration index j this is j + 1, otherwise the
   /// number of instances covered. Deterministic at every thread count (it
-  /// is computed from the merged per-worker records, never from a shared
+  /// is computed from the merged per-chunk records, never from a shared
   /// counter delta that concurrent searches could pollute). The
-  /// `search.instances` obs counter separately sums the *actual* work across
-  /// workers, which can exceed this value when workers race past the
-  /// earliest conflict before the pruning hint lands.
+  /// `search.instances` obs counter separately sums the *actual* work of
+  /// every chunk, which can exceed this value when later chunks run past
+  /// the earliest conflict before the pruning hint lands.
   std::uint64_t instances_examined = 0;
 
   /// Why the search ended. kComplete for a covered space or a found
@@ -65,10 +65,12 @@ struct DeterminacySearchResult {
 /// examined prefix; an ungoverned search still heartbeats its op, so the
 /// stall watchdog sees it.
 ///
-/// With options.threads > 1 the instance space is sharded across a
-/// work-stealing pool; the merge is deterministic and lowest-index-wins, so
-/// the verdict *and* the counterexample pair are identical to the serial
-/// sweep's. threads == 1 runs the original serial code path unchanged.
+/// The space is swept in chunks of consecutive indices: one chunk on the
+/// calling thread at options.threads == 1, ~8 per thread taken by
+/// options.threads threads otherwise. A chunk stops at its first internal
+/// conflict, and the merge is deterministic and lowest-index-wins, so the
+/// verdict, the counterexample pair and instances_examined are those of a
+/// serial walk in enumeration order at every thread count.
 DeterminacySearchResult SearchDeterminacyCounterexample(
     const ViewSet& views, const Query& q, const Schema& base,
     const EnumerationOptions& options);
@@ -94,9 +96,9 @@ struct MonotonicitySearchResult {
 
 /// Searches for a pair witnessing non-monotonicity of the induced mapping
 /// Q_V. Quadratic in the number of enumerated instances — keep bounds small.
-/// With options.threads > 1 both the instance evaluation and the pair scan
-/// shard across a work-stealing pool; the merged violation is the serial
-/// row-major first hit.
+/// Both the instance evaluation and the pair scan run in chunks, as the
+/// determinacy search does; the merged violation is the row-major first
+/// hit at every thread count.
 MonotonicitySearchResult SearchMonotonicityViolation(
     const ViewSet& views, const Query& q, const Schema& base,
     const EnumerationOptions& options);

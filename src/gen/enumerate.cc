@@ -41,73 +41,49 @@ EnumerationOutcome ForEachInstanceOver(
     const std::function<bool(const Instance&)>& body,
     guard::Budget* budget) {
   EnumerationOutcome outcome;
-
-  std::vector<std::vector<Tuple>> pools;
-  for (const RelationDecl& d : schema.decls()) {
-    pools.push_back(UniverseTuples(d.arity, universe));
-    if (pools.back().size() >= 63u) {
-      // 2^63+ candidate relations: the space is not enumerable. Report an
-      // incomplete (empty) sweep instead of aborting, so budgeted callers
-      // degrade gracefully.
+  InstanceSpace space(schema, universe);
+  if (!space.indexable()) {
+    // 2^63+ candidate relations: the space is not enumerable. Report an
+    // incomplete (empty) sweep instead of aborting, so budgeted callers
+    // degrade gracefully.
+    outcome.complete = false;
+    outcome.outcome = guard::Outcome::kStepBudgetExhausted;
+    return outcome;
+  }
+  space.ForRange(0, space.total(), [&](std::uint64_t, const Instance& d) {
+    if (++outcome.visited > max_instances) {
       outcome.complete = false;
       outcome.outcome = guard::Outcome::kStepBudgetExhausted;
-      return outcome;
+      return false;
     }
-  }
-
-  Instance current(schema);
-  std::function<bool(std::size_t)> rec = [&](std::size_t i) -> bool {
-    if (i == pools.size()) {
-      ++outcome.visited;
-      if (outcome.visited > max_instances) {
-        outcome.complete = false;
-        outcome.outcome = guard::Outcome::kStepBudgetExhausted;
-        return false;
-      }
-      guard::Outcome check = guard::Check(budget);
-      if (!guard::IsComplete(check)) {
-        outcome.complete = false;
-        outcome.outcome = check;
-        return false;
-      }
-      return body(current);
+    guard::Outcome check = guard::Check(budget);
+    if (!guard::IsComplete(check)) {
+      outcome.complete = false;
+      outcome.outcome = check;
+      return false;
     }
-    std::uint64_t subsets = 1ull << pools[i].size();
-    const std::string& name = schema.decls()[i].name;
-    for (std::uint64_t mask = 0; mask < subsets; ++mask) {
-      Relation rel(schema.decls()[i].arity);
-      for (std::size_t t = 0; t < pools[i].size(); ++t) {
-        if (mask & (1ull << t)) rel.Insert(pools[i][t]);
-      }
-      current.Set(name, std::move(rel));
-      if (!rec(i + 1)) return false;
-    }
-    return true;
-  };
-  rec(0);
+    return body(d);
+  });
   return outcome;
 }
 
 InstanceSpace::InstanceSpace(const Schema& schema,
                              const std::vector<Value>& universe)
     : schema_(schema) {
-  int total_bits = 0;
+  std::size_t total_bits = 0;
   for (const RelationDecl& d : schema_.decls()) {
     pools_.push_back(UniverseTuples(d.arity, universe));
-    std::size_t bits = pools_.back().size();
-    // Mirrors the ForEachInstanceOver bail-out, plus a product-overflow
-    // guard: indices must fit comfortably in 64 bits.
-    if (bits >= 63u) {
+    // 2^63+ subsets of one relation: refused, as no sweep could finish it.
+    if (pools_.back().size() >= 63u) {
       indexable_ = false;
+      total_ = 0;
       return;
     }
-    total_bits += static_cast<int>(bits);
-    if (total_bits >= 63) {
-      indexable_ = false;
-      return;
-    }
+    total_bits += pools_.back().size();
   }
-  total_ = 1ull << total_bits;
+  // Indices are 64-bit: past 2^64 - 1 instances only that prefix is
+  // reachable, which is more than any sweep can visit.
+  total_ = total_bits >= 64 ? ~0ull : 1ull << total_bits;
 }
 
 void InstanceSpace::DecodeMasks(std::uint64_t index,

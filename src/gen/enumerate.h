@@ -22,10 +22,11 @@ struct EnumerationOptions {
   std::uint64_t max_instances = 1ull << 22;
 
   /// Worker count for the bounded searches built on this enumeration
-  /// (core/finite_search): 1 = the original serial code path, 0 =
-  /// par::DefaultThreads(), N > 1 = shard the instance space across a
-  /// work-stealing pool of N workers with a deterministic lowest-index-wins
-  /// merge. Plain ForEachInstance* enumeration ignores this field.
+  /// (core/finite_search): 1 = one chunk on the calling thread, 0 =
+  /// par::DefaultThreads(), N > 1 = the instance space in ~8N chunks taken
+  /// by N threads (par/pool.h), merged lowest index first. Every count
+  /// returns the same result. Plain ForEachInstance* enumeration ignores
+  /// this field.
   int threads = 1;
 
   /// Optional resource budget. When set, enumeration (and every search
@@ -67,32 +68,35 @@ EnumerationOutcome ForEachInstanceUpToIso(
     const std::function<bool(const Instance&)>& body);
 
 /// Enumerates instances whose values are drawn from an explicit `universe`
-/// (used by pre-image search, where view-extent values must be available).
-/// `budget`, when non-null, is checkpointed once per instance.
+/// (used by pre-image search, where view-extent values must be available),
+/// in InstanceSpace order. `budget`, when non-null, is checkpointed once per
+/// instance. A space InstanceSpace refuses is reported as an incomplete
+/// sweep with `visited == 0`.
 EnumerationOutcome ForEachInstanceOver(
     const Schema& schema, const std::vector<Value>& universe,
     std::uint64_t max_instances,
     const std::function<bool(const Instance&)>& body,
     guard::Budget* budget = nullptr);
 
-/// Random access into the instance space ForEachInstanceOver walks: the
+/// The instance space ForEachInstanceOver walks, with random access: the
 /// cross product of per-relation tuple-subset choices, with relation 0 the
 /// most significant digit and subset masks ascending. `At(k)` (and
-/// `ForRange`, which visits a contiguous index window) produce exactly the
-/// k-th instance ForEachInstanceOver would pass to its body — the property
-/// the parallel searches rely on to shard the space across workers while
-/// returning the same first counterexample as the serial sweep.
+/// `ForRange`, which visits a contiguous index window) produce the k-th
+/// instance of that order — the property the bounded searches rely on to
+/// split the space into chunks while returning the same first
+/// counterexample at every thread count.
 class InstanceSpace {
  public:
   InstanceSpace(const Schema& schema, const std::vector<Value>& universe);
 
-  /// False when some relation's tuple pool has 2^63+ subsets or the total
-  /// index range overflows 2^62 — the same spaces the serial enumeration
-  /// refuses or can never finish. Indexed access is then unavailable and
-  /// callers must fall back to the serial sweep.
+  /// False when some relation has 63 or more candidate tuples (2^63+
+  /// subsets), the one space ForEachInstanceOver refuses; nothing can then
+  /// be visited. A space of 2^64 or more instances stays indexable over its
+  /// first 2^64 - 1.
   bool indexable() const { return indexable_; }
 
-  /// Number of instances in the space. Valid only when indexable().
+  /// Number of instances in the space, saturated at 2^64 - 1; 0 when not
+  /// indexable().
   std::uint64_t total() const { return total_; }
 
   const Schema& schema() const { return schema_; }

@@ -25,9 +25,10 @@ enum class FaultKind {
   /// The fault point throws InjectedAllocFailure (an std::bad_alloc),
   /// simulating memory exhaustion mid-materialization.
   kAllocFailure,
-  /// The fault point throws InjectedTaskError inside a par::ThreadPool
-  /// worker or a service request handler; the pool must capture it, keep
-  /// draining, and report it, and the service must answer "internal".
+  /// The fault point throws InjectedTaskError before a chunk of
+  /// par::ParallelForChunks runs, or in a service request handler; the
+  /// chunk call must capture it, run the other chunks, and report it, and
+  /// the service must answer "internal".
   kTaskThrow,
   /// Budget::Checkpoint trips kCancelled once the governed call's step
   /// counter reaches the armed ordinal — cancellation at exactly step N.

@@ -24,10 +24,10 @@
 // analysis battery attributes to the battery's op, matching how a caller
 // thinks about the work.
 //
-// par::ThreadPool carries the context across task boundaries: Submit()
-// captures CurrentOpHandle() and runs the task under an OpTaskScope, so
-// work-stolen shards attribute to the operation that spawned them, not to
-// whichever worker happened to run them.
+// par::ParallelForChunks carries the context into the threads it spawns:
+// it captures CurrentOpHandle() and runs each chunk under an OpTaskScope,
+// so a search's chunks attribute to the operation that called, whichever
+// thread ran them.
 
 namespace vqdr::guard {
 class Budget;
@@ -98,7 +98,7 @@ struct OpSlot : std::enable_shared_from_this<OpSlot> {
   std::uint64_t start_us = 0;
   /// Liveness ticks: guard checkpoints and direct OpHeartbeat() calls.
   std::atomic<std::uint64_t> heartbeats{0};
-  /// Pool tasks that ran under this operation.
+  /// Search chunks (par::ParallelForChunks) that ran under this operation.
   std::atomic<std::uint64_t> tasks{0};
   /// Innermost live trace-span name anywhere in the operation (a string
   /// literal); starts as `label`.
@@ -176,7 +176,7 @@ class OpScope {
 };
 
 /// A copyable, owning reference to an in-flight operation, used to carry the
-/// context across thread-pool task boundaries.
+/// context into the threads par::ParallelForChunks spawns.
 class OpHandle {
  public:
   OpHandle() = default;
@@ -196,8 +196,8 @@ inline OpHandle CurrentOpHandle() {
   return h;
 }
 
-/// RAII: binds a captured operation to the executing (pool worker) thread
-/// for one task, restoring the worker's previous binding afterwards.
+/// RAII: binds a captured operation to the executing thread for one chunk,
+/// restoring the thread's previous binding afterwards.
 class OpTaskScope {
  public:
   explicit OpTaskScope(const OpHandle& handle);

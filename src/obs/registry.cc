@@ -216,7 +216,7 @@ ThreadSlot* EnsureThreadSlot() {
 // One cached slot per thread so the common serial pattern — one top-level
 // engine call after another on the same thread — reuses a single OpSlot
 // instead of allocating per call. Reuse is only safe when nothing else still
-// references the slot (use_count()==1: just this cache); pool-task handles
+// references the slot (use_count()==1: just this cache); chunk handles
 // or a watchdog holding the old op force a fresh allocation.
 thread_local std::shared_ptr<OpSlot> t_slot_cache;
 

@@ -15,8 +15,8 @@ ShardPlan PlanShards(std::uint64_t total, int threads,
     plan.num_chunks = 0;
     return plan;
   }
-  // ~8 chunks per worker gives the stealer room to balance without drowning
-  // the pool in tiny tasks.
+  // ~8 chunks per worker lets the cursor balance uneven chunks without
+  // paying per-chunk overhead on tiny ones.
   std::uint64_t target_chunks =
       static_cast<std::uint64_t>(threads) * 8;
   std::uint64_t chunk = (total + target_chunks - 1) / target_chunks;

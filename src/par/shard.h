@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cstdint>
 
-// Deterministic sharding and merge primitives on top of par/pool.h, used by
-// the bounded searches in core/finite_search.
+// Deterministic sharding and merge primitives for the chunk cursor in
+// par/pool.h, used by the bounded searches in core/finite_search.
 //
 // The contract the parallel searches honour: the *answer* is a pure
 // function of the input, never of the schedule. The pieces here make that
@@ -21,8 +21,9 @@
 //    and every candidate in such a chunk has a larger index. Skipping is a
 //    pure optimisation; the merge never reads the hint.
 //
-// Stopping is not a par concern: workers charge the caller's guard::Budget
-// and read its sticky stop reason.
+// Stopping is not a par concern: the searches' chunks checkpoint the
+// caller's guard::Budget before each instance and read its sticky stop
+// reason.
 
 namespace vqdr::par {
 
@@ -41,8 +42,9 @@ struct ShardPlan {
 };
 
 /// Plans chunks for `total` units across `threads` workers. Deterministic in
-/// (total, threads): aims for ~8 chunks per worker (so stealing can balance
-/// uneven chunks) with the chunk size clamped to [min_chunk, max_chunk].
+/// (total, threads): aims for ~8 chunks per worker (so a worker that drew
+/// cheap chunks takes more of them) with the chunk size clamped to
+/// [min_chunk, max_chunk].
 ShardPlan PlanShards(std::uint64_t total, int threads,
                      std::uint64_t min_chunk = 16,
                      std::uint64_t max_chunk = 4096);

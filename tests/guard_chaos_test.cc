@@ -1,9 +1,9 @@
 // Chaos battery for the guard subsystem (ctest label GUARD): every fault
-// kind — injected allocation failure, task-throw inside the thread pool,
+// kind — injected allocation failure, task-throw inside a search chunk,
 // cancellation at exactly step N — fired at randomized-but-seeded steps
 // into search (at thread counts {1, 2, 8}), chase, containment, and batch.
 // Every scenario must end in a clean structured outcome: no crash, no
-// deadlock, pool fully drained, no wrong or fabricated verdict, and a
+// deadlock, every chunk run, no wrong or fabricated verdict, and a
 // budget-exhausted prefix identical to the same prefix of an unbudgeted
 // serial run.
 
@@ -67,27 +67,21 @@ class GuardChaosFixture : public ::testing::Test {
   NamePool pool_;
 };
 
-// --- the pool itself -------------------------------------------------------
+// --- the chunk cursor itself ----------------------------------------------
 
 TEST_F(GuardChaosFixture, PoolCapturesTaskThrowAndKeepsDraining) {
   for (int threads : kThreadCounts) {
     FaultScope fault(FaultKind::kTaskThrow, "pool.task", /*at_hit=*/3);
     std::atomic<int> ran{0};
-    {
-      par::ThreadPool pool(threads);
-      for (int i = 0; i < 50; ++i) {
-        pool.Submit([&ran] { ran.fetch_add(1); });
-      }
-      pool.Wait();
-      // Exactly one task was killed by the injected throw; every other task
-      // still ran — the pool drained instead of terminating.
-      EXPECT_EQ(pool.error_count(), 1u) << "threads=" << threads;
-      EXPECT_EQ(ran.load(), 49) << "threads=" << threads;
-      std::exception_ptr error = pool.TakeFirstError();
-      ASSERT_TRUE(error != nullptr);
-      EXPECT_THROW(std::rethrow_exception(error), guard::InjectedTaskError);
-      EXPECT_EQ(pool.error_count(), 0u);  // TakeFirstError clears the state
-    }
+    std::exception_ptr error;
+    const std::uint64_t errors = par::ParallelForChunks(
+        threads, 50, [&ran](std::uint64_t) { ran.fetch_add(1); }, &error);
+    // Exactly one chunk was killed by the injected throw; every other chunk
+    // still ran — the call drained instead of terminating.
+    EXPECT_EQ(errors, 1u) << "threads=" << threads;
+    EXPECT_EQ(ran.load(), 49) << "threads=" << threads;
+    ASSERT_TRUE(error != nullptr);
+    EXPECT_THROW(std::rethrow_exception(error), guard::InjectedTaskError);
     EXPECT_TRUE(guard::FaultFired());
   }
 }
@@ -129,7 +123,7 @@ TEST_F(GuardChaosFixture, SearchSurvivesTaskThrowInParallelWorkers) {
   Rng rng(0xC0FFEE);
 
   for (int threads : kThreadCounts) {
-    if (threads == 1) continue;  // the serial path never enters the pool
+    if (threads == 1) continue;  // one chunk, one probe: at > 1 never fires
     std::uint64_t at = 1 + rng.Below(4);
     FaultScope fault(FaultKind::kTaskThrow, "pool.task", at);
     Budget budget;

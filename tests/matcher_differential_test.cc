@@ -474,7 +474,7 @@ TEST(MatcherDifferential, InstanceHomomorphismAgrees) {
   }
 }
 
-TEST(MatcherDifferential, ContainmentVerdictsAgreeAcrossThreads) {
+TEST(MatcherDifferential, ContainmentVerdictsAgreeWithOracle) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed * 911);
     RandomCqOptions qopt;

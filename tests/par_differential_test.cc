@@ -1,9 +1,11 @@
-// Differential battery for the parallel searches: on seeded random
-// (views, query, bound) triples, every parallel code path must return
-// *exactly* the serial answer — same verdict, same first counterexample,
-// same examined count — at every thread count. 200 search triples plus
-// monotonicity sweeps; the containment and batch cases compare each serial
-// engine against a second way into it (governed sweep, item-by-item
+// Differential battery for the bounded searches: on seeded random
+// (views, query, bound) triples, the production searches must return
+// *exactly* the serial oracle's answer (tests/search_oracle.h) — same
+// verdict, outcome, first counterexample and examined count — ungoverned at
+// every thread count, and at one thread also under a seeded step budget and
+// with an allocation fault armed at a seeded instance. 200 search triples
+// plus monotonicity sweeps; the containment and batch cases compare each
+// serial engine against a second way into it (governed sweep, item-by-item
 // decisions).
 
 #include <gtest/gtest.h>
@@ -20,6 +22,8 @@
 #include "gen/random_query.h"
 #include "gen/workloads.h"
 #include "guard/budget.h"
+#include "guard/fault.h"
+#include "search_oracle.h"
 
 namespace vqdr {
 namespace {
@@ -109,6 +113,168 @@ TEST_P(MonotonicityDifferential, ParallelScanMatchesSerial) {
       EXPECT_EQ(serial.violation->view_image2, par.violation->view_image2);
     }
   }
+}
+
+// ---- the serial oracle ----------------------------------------------------
+
+void ExpectMatchesOracle(const DeterminacySearchResult& oracle,
+                         const DeterminacySearchResult& got) {
+  EXPECT_EQ(got.verdict, oracle.verdict);
+  EXPECT_EQ(got.outcome, oracle.outcome);
+  EXPECT_EQ(got.instances_examined, oracle.instances_examined);
+  ASSERT_EQ(got.counterexample.has_value(), oracle.counterexample.has_value());
+  if (oracle.counterexample) {
+    EXPECT_EQ(got.counterexample->d1, oracle.counterexample->d1);
+    EXPECT_EQ(got.counterexample->d2, oracle.counterexample->d2);
+  }
+}
+
+void ExpectMatchesOracle(const MonotonicitySearchResult& oracle,
+                         const MonotonicitySearchResult& got) {
+  EXPECT_EQ(got.verdict, oracle.verdict);
+  EXPECT_EQ(got.outcome, oracle.outcome);
+  EXPECT_EQ(got.instances_examined, oracle.instances_examined);
+  ASSERT_EQ(got.violation.has_value(), oracle.violation.has_value());
+  if (oracle.violation) {
+    EXPECT_EQ(got.violation->d1, oracle.violation->d1);
+    EXPECT_EQ(got.violation->d2, oracle.violation->d2);
+    EXPECT_EQ(got.violation->view_image1, oracle.violation->view_image1);
+    EXPECT_EQ(got.violation->view_image2, oracle.violation->view_image2);
+  }
+}
+
+// Runs `search` and the oracle on the same triple at threads = 1 under a
+// fresh step budget of `max_steps` each: same result, same budget state.
+template <typename Result>
+void ExpectSameUnderStepBudget(
+    const SearchTriple& t, std::uint64_t max_steps,
+    Result (*search)(const ViewSet&, const Query&, const Schema&,
+                     const EnumerationOptions&),
+    Result (*oracle)(const ViewSet&, const Query&, const Schema&,
+                     const EnumerationOptions&)) {
+  guard::Budget oracle_budget(guard::BudgetSpec{.max_steps = max_steps});
+  guard::Budget budget(guard::BudgetSpec{.max_steps = max_steps});
+  EnumerationOptions options = t.options;
+  options.budget = &oracle_budget;
+  Result expected = oracle(t.views, t.q, t.base, options);
+  options.budget = &budget;
+  Result got = search(t.views, t.q, t.base, options);
+  ExpectMatchesOracle(expected, got);
+  EXPECT_EQ(budget.steps_used(), oracle_budget.steps_used());
+  EXPECT_EQ(budget.stop_reason(), oracle_budget.stop_reason());
+}
+
+// Same, with an allocation fault armed at the `at`-th "search.instances"
+// probe of each run (budgeted, so the internal-error mark shows too).
+template <typename Result>
+void ExpectSameUnderAllocFault(
+    const SearchTriple& t, std::uint64_t at,
+    Result (*search)(const ViewSet&, const Query&, const Schema&,
+                     const EnumerationOptions&),
+    Result (*oracle)(const ViewSet&, const Query&, const Schema&,
+                     const EnumerationOptions&)) {
+  guard::Budget oracle_budget;
+  guard::Budget budget;
+  EnumerationOptions options = t.options;
+  options.budget = &oracle_budget;
+  guard::ArmFault(guard::FaultKind::kAllocFailure, "search.instances", at);
+  Result expected = oracle(t.views, t.q, t.base, options);
+  const bool oracle_fired = guard::FaultFired();
+  guard::DisarmFaults();
+  options.budget = &budget;
+  guard::ArmFault(guard::FaultKind::kAllocFailure, "search.instances", at);
+  Result got = search(t.views, t.q, t.base, options);
+  const bool fired = guard::FaultFired();
+  guard::DisarmFaults();
+  EXPECT_EQ(fired, oracle_fired);
+  ExpectMatchesOracle(expected, got);
+  EXPECT_EQ(budget.steps_used(), oracle_budget.steps_used());
+  EXPECT_EQ(budget.stop_reason(), oracle_budget.stop_reason());
+}
+
+class SearchOracleDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SearchOracleDifferential,
+                         ::testing::Range<std::uint64_t>(1, 201));
+
+TEST_P(SearchOracleDifferential, UngovernedMatchesOracleAtAllThreadCounts) {
+  SearchTriple t = MakeTriple(GetParam());
+  DeterminacySearchResult expected =
+      oracle::SearchDeterminacyCounterexample(t.views, t.q, t.base, t.options);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << GetParam() << " threads " << threads);
+    EnumerationOptions options = t.options;
+    options.threads = threads;
+    ExpectMatchesOracle(expected, SearchDeterminacyCounterexample(
+                                      t.views, t.q, t.base, options));
+  }
+}
+
+TEST_P(SearchOracleDifferential, StepBudgetMatchesOracle) {
+  SearchTriple t = MakeTriple(GetParam());
+  Rng rng(GetParam() * 7919);
+  const std::uint64_t max_steps = 1 + rng.Below(80);
+  SCOPED_TRACE(::testing::Message()
+               << "seed " << GetParam() << " max_steps " << max_steps);
+  ExpectSameUnderStepBudget<DeterminacySearchResult>(
+      t, max_steps, &SearchDeterminacyCounterexample,
+      &oracle::SearchDeterminacyCounterexample);
+}
+
+TEST_P(SearchOracleDifferential, AllocFaultMatchesOracle) {
+  SearchTriple t = MakeTriple(GetParam());
+  Rng rng(GetParam() * 104729);
+  const std::uint64_t at = 1 + rng.Below(80);
+  SCOPED_TRACE(::testing::Message() << "seed " << GetParam() << " at " << at);
+  ExpectSameUnderAllocFault<DeterminacySearchResult>(
+      t, at, &SearchDeterminacyCounterexample,
+      &oracle::SearchDeterminacyCounterexample);
+}
+
+class MonotonicityOracleDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MonotonicityOracleDifferential,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
+TEST_P(MonotonicityOracleDifferential,
+       UngovernedMatchesOracleAtAllThreadCounts) {
+  SearchTriple t = MakeTriple(GetParam());
+  MonotonicitySearchResult expected =
+      oracle::SearchMonotonicityViolation(t.views, t.q, t.base, t.options);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << GetParam() << " threads " << threads);
+    EnumerationOptions options = t.options;
+    options.threads = threads;
+    ExpectMatchesOracle(expected, SearchMonotonicityViolation(
+                                      t.views, t.q, t.base, options));
+  }
+}
+
+// Up to 64 instance steps plus 64 row steps: the budget lands in either
+// phase or not at all.
+TEST_P(MonotonicityOracleDifferential, StepBudgetMatchesOracle) {
+  SearchTriple t = MakeTriple(GetParam());
+  Rng rng(GetParam() * 7919);
+  const std::uint64_t max_steps = 1 + rng.Below(150);
+  SCOPED_TRACE(::testing::Message()
+               << "seed " << GetParam() << " max_steps " << max_steps);
+  ExpectSameUnderStepBudget<MonotonicitySearchResult>(
+      t, max_steps, &SearchMonotonicityViolation,
+      &oracle::SearchMonotonicityViolation);
+}
+
+TEST_P(MonotonicityOracleDifferential, AllocFaultMatchesOracle) {
+  SearchTriple t = MakeTriple(GetParam());
+  Rng rng(GetParam() * 104729);
+  const std::uint64_t at = 1 + rng.Below(80);
+  SCOPED_TRACE(::testing::Message() << "seed " << GetParam() << " at " << at);
+  ExpectSameUnderAllocFault<MonotonicitySearchResult>(
+      t, at, &SearchMonotonicityViolation,
+      &oracle::SearchMonotonicityViolation);
 }
 
 class ContainmentDifferential

@@ -1,17 +1,21 @@
-// Unit tests for the work-stealing pool and the deterministic sharding
-// primitives (src/par), plus the indexed instance space they shard
-// (gen/enumerate.h InstanceSpace) — the pieces the parallel searches are
-// built from.
+// Unit tests for the chunk cursor and the deterministic sharding primitives
+// (src/par), plus the indexed instance space they shard (gen/enumerate.h
+// InstanceSpace) — the pieces the bounded searches are built from.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/finite_search.h"
+#include "cq/conjunctive_query.h"
 #include "gen/enumerate.h"
 #include "par/pool.h"
 #include "par/shard.h"
@@ -19,61 +23,7 @@
 namespace vqdr {
 namespace {
 
-// ---- ThreadPool ----
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  par::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitCoversNestedSubmissions) {
-  par::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pool, &count] {
-      for (int j = 0; j < 4; ++j) {
-        pool.Submit([&count] { count.fetch_add(1); });
-      }
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ThreadPool, ReusableAcrossWaitRounds) {
-  par::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (round + 1) * 10);
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    par::ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    // No Wait: destruction itself must drain and join.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, SizeAndDefaultThreads) {
-  par::ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3);
-  EXPECT_GE(par::DefaultThreads(), 1);
-}
+// ---- ParallelForChunks ----
 
 // DefaultThreads promises a count >= 1, so a VQDR_THREADS value that does
 // not fit an int (narrowed, "2147483648" would read as INT_MIN) falls back
@@ -108,13 +58,72 @@ TEST(ThreadPool, ResolveThreadsIsOneRuleForEveryOption) {
 }
 
 TEST(ThreadPool, ParallelForChunksCoversEveryIdOnce) {
-  par::ThreadPool pool(4);
   constexpr std::uint64_t kChunks = 97;
   std::vector<std::atomic<int>> seen(kChunks);
-  par::ParallelForChunks(pool, kChunks,
+  par::ParallelForChunks(4, kChunks,
                          [&seen](std::uint64_t c) { seen[c].fetch_add(1); });
   for (std::uint64_t c = 0; c < kChunks; ++c) {
     EXPECT_EQ(seen[c].load(), 1) << "chunk " << c;
+  }
+}
+
+// Below two threads nothing is spawned: the caller runs every chunk, in
+// ascending order, which is how a threads = 1 search stays a serial walk.
+TEST(ParallelForChunks, FewerThanTwoThreadsRunEveryChunkInOrderOnTheCaller) {
+  EXPECT_GE(par::DefaultThreads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int threads : {-2, 0, 1}) {
+    std::vector<std::uint64_t> order;
+    bool on_caller = true;
+    EXPECT_EQ(par::ParallelForChunks(threads, 20,
+                                     [&](std::uint64_t c) {
+                                       order.push_back(c);
+                                       on_caller = on_caller &&
+                                           std::this_thread::get_id() == caller;
+                                     }),
+              0u);
+    ASSERT_EQ(order.size(), 20u) << "threads " << threads;
+    for (std::uint64_t c = 0; c < order.size(); ++c) EXPECT_EQ(order[c], c);
+    EXPECT_TRUE(on_caller) << "threads " << threads;
+  }
+  EXPECT_EQ(par::ParallelForChunks(8, 0, [](std::uint64_t) { FAIL(); }), 0u);
+}
+
+// One thread per chunk at most: a 3-chunk call at threads = 8 runs on at
+// most 3 threads, and a 1-chunk call on the caller alone.
+TEST(ParallelForChunks, SpawnsNoMoreThreadsThanChunks) {
+  for (std::uint64_t chunks : {1ull, 3ull}) {
+    std::mutex mu;
+    std::set<std::thread::id> ran_on;
+    par::ParallelForChunks(8, chunks, [&](std::uint64_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      ran_on.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(ran_on.size(), 1u);
+    EXPECT_LE(ran_on.size(), chunks);
+    if (chunks == 1) {
+      EXPECT_EQ(*ran_on.begin(), std::this_thread::get_id());
+    }
+  }
+}
+
+// A throwing chunk is captured, counted and handed back; every other chunk
+// still runs, at every thread count.
+TEST(ParallelForChunks, CapturesAThrowingChunkAndRunsTheRest) {
+  for (int threads : {1, 2, 8}) {
+    std::atomic<int> ran{0};
+    std::exception_ptr error;
+    const std::uint64_t errors = par::ParallelForChunks(
+        threads, 40,
+        [&ran](std::uint64_t c) {
+          if (c == 7 || c == 30) throw std::runtime_error("chunk failed");
+          ran.fetch_add(1);
+        },
+        &error);
+    EXPECT_EQ(errors, 2u) << "threads " << threads;
+    EXPECT_EQ(ran.load(), 38) << "threads " << threads;
+    ASSERT_TRUE(error != nullptr);
+    EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
   }
 }
 
@@ -235,6 +244,56 @@ TEST(InstanceSpace, RefusesOversizedSpaces) {
   for (int v = 1; v <= 4; ++v) universe.push_back(Value(v));
   InstanceSpace space(schema, universe);
   EXPECT_FALSE(space.indexable());
+}
+
+// {E/2, F/2} over 6 values has 72 candidate tuples, 2^72 instances: past
+// 64-bit indices, yet every relation's subsets fit one digit, so the space is
+// indexed over its first 2^64 - 1 instances and the searches sweep a
+// max_instances prefix of it like any other.
+TEST(InstanceSpace, IndexesPrefixOfSpacesPastTwoToThe64) {
+  Schema schema{{"E", 2}, {"F", 2}};
+  std::vector<Value> universe;
+  for (int v = 1; v <= 6; ++v) universe.push_back(Value(v));
+  InstanceSpace space(schema, universe);
+  ASSERT_TRUE(space.indexable());
+
+  std::vector<Instance> walked;
+  EnumerationOutcome outcome =
+      ForEachInstanceOver(schema, universe, 200, [&](const Instance& d) {
+        walked.push_back(d);
+        return true;
+      });
+  EXPECT_FALSE(outcome.complete);
+  EXPECT_EQ(outcome.visited, 201u);
+  ASSERT_EQ(walked.size(), 200u);
+  for (std::uint64_t k = 0; k < walked.size(); ++k) {
+    EXPECT_EQ(space.At(k), walked[k]) << "index " << k;
+  }
+
+  // V(x, y) :- F(x, y) determines Q(x) :- F(x, y): no conflict, so both
+  // thread counts sweep the whole 2000-instance prefix.
+  ViewSet views;
+  ConjunctiveQuery v("V", {Term::Var("x"), Term::Var("y")});
+  v.AddAtom(Atom{"F", {Term::Var("x"), Term::Var("y")}});
+  views.Add("V", Query::FromCq(v));
+  ConjunctiveQuery q("Q", {Term::Var("x")});
+  q.AddAtom(Atom{"F", {Term::Var("x"), Term::Var("y")}});
+  EnumerationOptions options;
+  options.domain_size = 6;
+  options.max_instances = 2000;
+  DeterminacySearchResult serial =
+      SearchDeterminacyCounterexample(views, Query::FromCq(q), schema, options);
+  options.threads = 4;
+  DeterminacySearchResult sharded =
+      SearchDeterminacyCounterexample(views, Query::FromCq(q), schema, options);
+  EXPECT_EQ(serial.verdict, SearchVerdict::kBudgetExhausted);
+  EXPECT_EQ(serial.outcome, guard::Outcome::kStepBudgetExhausted);
+  EXPECT_EQ(serial.instances_examined, 2000u);
+  EXPECT_EQ(sharded.verdict, serial.verdict);
+  EXPECT_EQ(sharded.outcome, serial.outcome);
+  EXPECT_EQ(sharded.instances_examined, serial.instances_examined);
+  EXPECT_EQ(sharded.counterexample.has_value(),
+            serial.counterexample.has_value());
 }
 
 }  // namespace
