@@ -13,6 +13,7 @@
 #include "cq/matcher.h"
 #include "cq/minimize.h"
 #include "gen/workloads.h"
+#include "memo/memo.h"
 
 namespace vqdr {
 namespace {
@@ -98,8 +99,8 @@ void BM_HomChainContainment(benchmark::State& state) {
   // Chain-2n vs chain-n: the pattern check walks a long frozen path with
   // the head pre-bound — a deep, failure-terminated join.
   int n = static_cast<int>(state.range(0));
+  memo::ScopedEnable off(false);
   CqContainmentOptions options;
-  options.memo.use = memo::Use::kOff;
   ConjunctiveQuery longer = ChainQuery(2 * n);
   ConjunctiveQuery shorter = ChainQuery(n);
   for (auto _ : state) {

@@ -34,6 +34,12 @@ double SecondsPerRun(const std::function<void()>& run) {
       .count();
 }
 
+// Times one run with the memo off.
+double ColdSecondsPerRun(const std::function<void()>& run) {
+  memo::ScopedEnable off(false);
+  return SecondsPerRun(run);
+}
+
 // Attaches the two headline counters from a timed cold run, a timed warm
 // run, and the store's stats delta across the benchmark loop.
 void ReportMemoCounters(benchmark::State& state, double cold_seconds,
@@ -79,26 +85,23 @@ ContainmentSlate() {
 
 void BM_MemoContainmentWarm(benchmark::State& state) {
   auto slate = ContainmentSlate();
-  auto run = [&slate](const CqContainmentOptions& options) {
+  auto run = [&slate] {
     for (const auto& [a, b] : slate) {
-      bool r = CqContainedIn(a, b, options);
+      bool r = CqContainedIn(a, b);
       benchmark::DoNotOptimize(r);
     }
   };
 
-  CqContainmentOptions cold;
-  cold.memo = {memo::Use::kOff, nullptr};
-  double cold_seconds = SecondsPerRun([&] { run(cold); });
+  double cold_seconds = ColdSecondsPerRun(run);
 
   memo::Store store(4096);
-  CqContainmentOptions warm;
-  warm.memo = {memo::Use::kOn, &store};
-  run(warm);  // warm the store once, outside the timed loop
+  memo::ScopedEnable on(true, &store);
+  run();  // warm the store once, outside the timed loop
 
   memo::StatsSnapshot before = store.Stats();
-  for (auto _ : state) run(warm);
+  for (auto _ : state) run();
   memo::StatsSnapshot delta = store.Stats().Delta(before);
-  double warm_seconds = SecondsPerRun([&] { run(warm); });
+  double warm_seconds = SecondsPerRun(run);
   ReportMemoCounters(state, cold_seconds, warm_seconds, delta);
 }
 BENCHMARK(BM_MemoContainmentWarm)->Unit(benchmark::kMillisecond);
@@ -130,24 +133,20 @@ void BM_MemoDeterminacyBatchWarm(benchmark::State& state) {
     items.insert(items.end(), base.begin(), base.end());
   }
 
-  memo::MemoOptions cold{memo::Use::kOff, nullptr};
-  double cold_seconds = SecondsPerRun([&] {
-    auto r = DecideUnrestrictedDeterminacyBatch(items, cold);
-    benchmark::DoNotOptimize(r);
-  });
-
-  memo::Store store(4096);
-  memo::MemoOptions warm{memo::Use::kOn, &store};
-  auto warm_run = [&] {
-    auto r = DecideUnrestrictedDeterminacyBatch(items, warm);
+  auto run = [&] {
+    auto r = DecideUnrestrictedDeterminacyBatch(items);
     benchmark::DoNotOptimize(r);
   };
-  warm_run();
+  double cold_seconds = ColdSecondsPerRun(run);
+
+  memo::Store store(4096);
+  memo::ScopedEnable on(true, &store);
+  run();
 
   memo::StatsSnapshot before = store.Stats();
-  for (auto _ : state) warm_run();
+  for (auto _ : state) run();
   memo::StatsSnapshot delta = store.Stats().Delta(before);
-  double warm_seconds = SecondsPerRun(warm_run);
+  double warm_seconds = SecondsPerRun(run);
   ReportMemoCounters(state, cold_seconds, warm_seconds, delta);
 }
 BENCHMARK(BM_MemoDeterminacyBatchWarm)->Unit(benchmark::kMillisecond);
@@ -165,25 +164,22 @@ void BM_MemoIsomorphSharing(benchmark::State& state) {
         [i](const std::string& v) { return v + "_" + std::to_string(i); }));
   }
 
-  auto run = [&](const CqContainmentOptions& options) {
+  auto run = [&] {
     for (const ConjunctiveQuery& q : copies) {
-      bool r = CqContainedIn(q, base2, options);
+      bool r = CqContainedIn(q, base2);
       benchmark::DoNotOptimize(r);
     }
   };
-  CqContainmentOptions cold;
-  cold.memo = {memo::Use::kOff, nullptr};
-  double cold_seconds = SecondsPerRun([&] { run(cold); });
+  double cold_seconds = ColdSecondsPerRun(run);
 
   memo::Store store(256);
-  CqContainmentOptions warm;
-  warm.memo = {memo::Use::kOn, &store};
-  run(warm);
+  memo::ScopedEnable on(true, &store);
+  run();
 
   memo::StatsSnapshot before = store.Stats();
-  for (auto _ : state) run(warm);
+  for (auto _ : state) run();
   memo::StatsSnapshot delta = store.Stats().Delta(before);
-  double warm_seconds = SecondsPerRun([&] { run(warm); });
+  double warm_seconds = SecondsPerRun(run);
   ReportMemoCounters(state, cold_seconds, warm_seconds, delta);
 }
 BENCHMARK(BM_MemoIsomorphSharing)->Unit(benchmark::kMillisecond);
@@ -209,27 +205,26 @@ void BM_MemoSnapshotWarmBoot(benchmark::State& state) {
     items.push_back(item);
   }
 
-  auto run_first_batch = [&](memo::MemoOptions memo_opts) {
-    CqContainmentOptions copts;
-    copts.memo = memo_opts;
+  auto run_first_batch = [&](memo::Store& store) {
+    memo::ScopedEnable on(true, &store);
     for (const auto& [a, b] : slate) {
-      bool r = CqContainedIn(a, b, copts);
+      bool r = CqContainedIn(a, b);
       benchmark::DoNotOptimize(r);
     }
-    auto d = DecideUnrestrictedDeterminacyBatch(items, memo_opts);
+    auto d = DecideUnrestrictedDeterminacyBatch(items);
     benchmark::DoNotOptimize(d);
   };
 
   // Yesterday's process: compute once with the memo on, snapshot the store.
   memo::Store yesterday(4096);
-  run_first_batch({memo::Use::kOn, &yesterday});
+  run_first_batch(yesterday);
   memo::SnapshotIoStats image_stats;
   std::string image = memo::SerializeSnapshot(yesterday, &image_stats);
 
   // Cold boot: an empty store pays full compute for its first results.
   double cold_seconds = SecondsPerRun([&] {
     memo::Store store(4096);
-    run_first_batch({memo::Use::kOn, &store});
+    run_first_batch(store);
   });
 
   // Warm boot: restore the image, then serve the same first batch. The
@@ -242,7 +237,7 @@ void BM_MemoSnapshotWarmBoot(benchmark::State& state) {
     memo::SnapshotIoStats rstats = memo::DeserializeSnapshot(image, store);
     restored = rstats.entries;
     memo::StatsSnapshot before = store.Stats();
-    run_first_batch({memo::Use::kOn, &store});
+    run_first_batch(store);
     first_batch_hits = store.Stats().Delta(before).hits;
   });
   load_seconds = SecondsPerRun([&] {
@@ -255,7 +250,7 @@ void BM_MemoSnapshotWarmBoot(benchmark::State& state) {
     memo::Store store(4096);
     memo::SnapshotIoStats rstats = memo::DeserializeSnapshot(image, store);
     benchmark::DoNotOptimize(rstats.entries);
-    run_first_batch({memo::Use::kOn, &store});
+    run_first_batch(store);
   }
 
   state.counters["warm_boot_speedup"] =

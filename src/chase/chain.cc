@@ -1,6 +1,7 @@
 #include "chase/chain.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -9,8 +10,8 @@
 #include "cq/fingerprint.h"
 #include "cq/serialize.h"
 #include "data/serialize.h"
+#include "memo/cache_through.h"
 #include "memo/snapshot.h"
-#include "memo/store.h"
 #include "obs/context.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
@@ -96,16 +97,6 @@ void RecordChaseLevel(obs::ExplainLog* log, int level, const ChaseChain& chain,
   log->Append(std::move(e));
 }
 
-void RecordChaseMemoProbe(obs::ExplainLog* log, bool hit) {
-  if (!obs::Wants(log)) return;
-  obs::ExplainEvent e;
-  e.kind = obs::ExplainKind::kMemo;
-  e.label = "chase.chain";
-  e.detail = hit ? "hit" : "miss";
-  e.stats["hit"] = hit ? 1 : 0;
-  log->Append(std::move(e));
-}
-
 }  // namespace
 
 ChaseChain BuildChaseChain(const ViewSet& views, const ConjunctiveQuery& q,
@@ -119,31 +110,28 @@ ChaseChain BuildChaseChain(const ViewSet& views, const ConjunctiveQuery& q,
                            const ChaseChainOptions& options,
                            ValueFactory& factory) {
   obs::OpScope op(obs::OpKind::kChase, "chase.chain", options.budget);
-  if (memo::ResolveUse(options.memo)) {
-    VQDR_TRACE_SPAN("memo.chase.chain");
-    // Exact key: the chain's instances carry concrete value ids, so the
-    // whole input state — including where the factory will mint from — must
-    // match for a cached chain to be byte-identical.
-    std::string key = "chase.chain|" + views.ToString() + "|" +
-                      ExactCqKey(q) + "|L" +
-                      std::to_string(options.levels) + "|F" +
-                      std::to_string(factory.next_id());
-    memo::Store& store = memo::ResolveStore(options.memo);
-    if (auto hit = store.Get<CachedChaseChain>(key)) {
-      RecordChaseMemoProbe(options.explain, /*hit=*/true);
-      factory.NoteUsed(Value(hit->end_next_id - 1));
-      return hit->chain;
-    }
-    RecordChaseMemoProbe(options.explain, /*hit=*/false);
-    ChaseChain chain = BuildChaseChainImpl(views, q, options, factory);
-    // Never cache partial results: a truncated or errored chain reflects the
-    // budget/fault environment of this one call, not the inputs.
-    if (guard::IsComplete(chain.outcome)) {
-      store.Put(key, CachedChaseChain{chain, factory.next_id()});
-    }
-    return chain;
-  }
-  return BuildChaseChainImpl(views, q, options, factory);
+  return memo::CacheThrough<CachedChaseChain>(
+      "memo.chase.chain", "chase.chain", options.explain,
+      // Exact key: the chain's instances carry concrete value ids, so the
+      // whole input state — including where the factory will mint from —
+      // must match for a cached chain to be byte-identical.
+      [&] {
+        return "chase.chain|" + views.ToString() + "|" + ExactCqKey(q) +
+               "|L" + std::to_string(options.levels) + "|F" +
+               std::to_string(factory.next_id());
+      },
+      [&] { return BuildChaseChainImpl(views, q, options, factory); },
+      // A hit replays the factory advance of the original build.
+      [&](const CachedChaseChain& hit) {
+        factory.NoteUsed(Value(hit.end_next_id - 1));
+        return hit.chain;
+      },
+      // Never cache partial results: a truncated or errored chain reflects
+      // the budget/fault environment of this one call, not the inputs.
+      [&](const ChaseChain& chain) -> std::optional<CachedChaseChain> {
+        if (!guard::IsComplete(chain.outcome)) return std::nullopt;
+        return CachedChaseChain{chain, factory.next_id()};
+      });
 }
 
 namespace {

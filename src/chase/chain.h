@@ -6,7 +6,6 @@
 #include "cq/canonical.h"
 #include "cq/conjunctive_query.h"
 #include "guard/budget.h"
-#include "memo/memo.h"
 #include "obs/explain.h"
 #include "views/view_set.h"
 
@@ -55,12 +54,6 @@ struct ChaseChainOptions {
   /// the partially-built level is discarded. nullptr = ungoverned.
   guard::Budget* budget = nullptr;
 
-  /// Result memoization policy. Chase results are cached under an exact key
-  /// (views + query serialization + levels + factory state) and only when
-  /// the build ran to kComplete; a hit replays the factory advance so the
-  /// caller observes byte-identical state. See DESIGN.md §9.
-  memo::MemoOptions memo;
-
   /// Optional decision-provenance sink (DESIGN.md §10): one kChaseLevel
   /// event per completed level carrying the four instance sizes (|D_k|,
   /// |S_k|, |S'_k|, |D'_k|) and the count of fresh nulls the level minted,
@@ -71,6 +64,13 @@ struct ChaseChainOptions {
 
 /// Builds `levels`+1 levels of the chain for pure CQ views and query,
 /// beating the op once per completed level.
+///
+/// With the process memo switch on (memo/memo.h), the chain is cached in
+/// memo::GlobalStore() under an exact key (views + query serialization +
+/// levels + factory state), and only when the build ran to kComplete; a hit
+/// replays the factory advance so the caller observes byte-identical state.
+/// A miss also caches each chase-back step through ViewInverse. See
+/// DESIGN.md §9.
 ChaseChain BuildChaseChain(const ViewSet& views, const ConjunctiveQuery& q,
                            int levels, ValueFactory& factory);
 

@@ -2,14 +2,15 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "base/check.h"
 #include "cq/fingerprint.h"
 #include "data/serialize.h"
 #include "guard/fault.h"
+#include "memo/cache_through.h"
 #include "memo/snapshot.h"
-#include "memo/store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -64,27 +65,27 @@ Instance ViewInverseImpl(const ViewSet& views, const Instance& base,
 Instance ViewInverse(const ViewSet& views, const Instance& base,
                      const Instance& s_prime, ValueFactory& factory,
                      guard::Budget* budget) {
-  if (memo::Enabled()) {
-    VQDR_TRACE_SPAN("memo.chase.view_inverse");
-    // Exact key: the result carries concrete minted ids, so both input
-    // digests and the factory state must match for a replay.
-    std::string key = "chase.vinv|" + views.ToString() + "|" +
-                      InstanceMemoKey(base) + "|" + InstanceMemoKey(s_prime) +
-                      "|F" + std::to_string(factory.next_id());
-    memo::Store& store = memo::GlobalStore();
-    if (auto hit = store.Get<CachedInverse>(key)) {
-      factory.NoteUsed(Value(hit->end_next_id - 1));
-      return hit->result;
-    }
-    Instance result = ViewInverseImpl(views, base, s_prime, factory, budget);
-    // A budget-stopped inverse is partial; a thrown fault never reaches this
-    // line. Only complete results are installed.
-    if (budget == nullptr || !budget->Stopped()) {
-      store.Put(key, CachedInverse{result, factory.next_id()});
-    }
-    return result;
-  }
-  return ViewInverseImpl(views, base, s_prime, factory, budget);
+  return memo::CacheThrough<CachedInverse>(
+      "memo.chase.view_inverse", "chase.vinv", /*explain=*/nullptr,
+      // Exact key: the result carries concrete minted ids, so both input
+      // digests and the factory state must match for a replay.
+      [&] {
+        return "chase.vinv|" + views.ToString() + "|" +
+               InstanceMemoKey(base) + "|" + InstanceMemoKey(s_prime) + "|F" +
+               std::to_string(factory.next_id());
+      },
+      [&] { return ViewInverseImpl(views, base, s_prime, factory, budget); },
+      // A hit replays the minting of the original call.
+      [&](const CachedInverse& hit) {
+        factory.NoteUsed(Value(hit.end_next_id - 1));
+        return hit.result;
+      },
+      // A budget-stopped inverse is partial; a thrown fault never reaches
+      // the install. Only complete results are cached.
+      [&](const Instance& result) -> std::optional<CachedInverse> {
+        if (budget != nullptr && budget->Stopped()) return std::nullopt;
+        return CachedInverse{result, factory.next_id()};
+      });
 }
 
 namespace {

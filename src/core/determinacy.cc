@@ -11,8 +11,8 @@
 #include "cq/matcher.h"
 #include "cq/serialize.h"
 #include "data/serialize.h"
+#include "memo/cache_through.h"
 #include "memo/snapshot.h"
-#include "memo/store.h"
 #include "obs/context.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
@@ -67,44 +67,31 @@ DecodeDeterminacyResult(std::string_view payload) {
     memo::RegisterSnapshotType<UnrestrictedDeterminacyResult>(
         "det.v1", EncodeDeterminacyResult, DecodeDeterminacyResult);
 
-void RecordDeterminacyMemoProbe(obs::ExplainLog* log, bool hit) {
-  if (!obs::Wants(log)) return;
-  obs::ExplainEvent e;
-  e.kind = obs::ExplainKind::kMemo;
-  e.label = "determinacy";
-  e.detail = hit ? "hit" : "miss";
-  e.stats["hit"] = hit ? 1 : 0;
-  log->Append(std::move(e));
-}
-
 }  // namespace
 
 UnrestrictedDeterminacyResult DecideUnrestrictedDeterminacy(
     const ViewSet& views, const ConjunctiveQuery& q, guard::Budget* budget,
-    const memo::MemoOptions& memo, obs::ExplainLog* explain) {
+    obs::ExplainLog* explain) {
   // No-op when already inside a battery/batch op; top-level direct calls
   // get their own registry entry.
   obs::OpScope op(obs::OpKind::kDecide, "determinacy.decide", budget);
-  if (memo::ResolveUse(memo)) {
-    VQDR_TRACE_SPAN("memo.determinacy");
-    // Exact key: the result's instances carry concrete frozen-value ids.
-    // The decision builds its own factory from a fixed floor, so equal
-    // (views, query) serializations replay byte-identically.
-    std::string key = "det|" + views.ToString() + "|" + ExactCqKey(q);
-    memo::Store& store = memo::ResolveStore(memo);
-    if (auto hit = store.Get<UnrestrictedDeterminacyResult>(key)) {
-      RecordDeterminacyMemoProbe(explain, /*hit=*/true);
-      return *hit;
-    }
-    RecordDeterminacyMemoProbe(explain, /*hit=*/false);
-    UnrestrictedDeterminacyResult result =
-        DecideUnrestrictedDeterminacyImpl(views, q, budget, explain);
-    // Never cache partial outcomes — they describe this run's budget, not
-    // the inputs.
-    if (guard::IsComplete(result.outcome)) store.Put(key, result);
-    return result;
-  }
-  return DecideUnrestrictedDeterminacyImpl(views, q, budget, explain);
+  using Result = UnrestrictedDeterminacyResult;
+  return memo::CacheThrough<Result>(
+      "memo.determinacy", "determinacy", explain,
+      // Exact key: the result's instances carry concrete frozen-value ids.
+      // The decision builds its own factory from a fixed floor, so equal
+      // (views, query) serializations replay byte-identically.
+      [&] { return "det|" + views.ToString() + "|" + ExactCqKey(q); },
+      [&] {
+        return DecideUnrestrictedDeterminacyImpl(views, q, budget, explain);
+      },
+      [](const Result& hit) { return hit; },
+      // Never cache partial outcomes — they describe this run's budget, not
+      // the inputs.
+      [](const Result& result) -> std::optional<Result> {
+        if (!guard::IsComplete(result.outcome)) return std::nullopt;
+        return result;
+      });
 }
 
 namespace {

@@ -6,7 +6,6 @@
 #include "cq/conjunctive_query.h"
 #include "data/instance.h"
 #include "guard/budget.h"
-#include "memo/memo.h"
 #include "obs/explain.h"
 #include "views/view_set.h"
 
@@ -51,10 +50,12 @@ struct UnrestrictedDeterminacyResult {
 /// on a trip the result carries outcome != kComplete and whatever was
 /// already computed (canonical image, partial inverse).
 ///
-/// `memo` controls result caching: the full result (verdict, canonical
-/// image, inverse, rewriting) is cached under an exact key — the decision
-/// builds its own value factory, so equal inputs replay byte-identically —
-/// and only kComplete outcomes are ever installed. See DESIGN.md §9.
+/// With the process memo switch on (memo/memo.h), the full result (verdict,
+/// canonical image, inverse, rewriting) is cached in memo::GlobalStore()
+/// under an exact key — the decision builds its own value factory, so equal
+/// inputs replay byte-identically — and only kComplete outcomes are ever
+/// installed. A miss also caches its chase-back through ViewInverse. See
+/// DESIGN.md §9.
 ///
 /// `explain`, when non-null, receives the decision's provenance: a kDecision
 /// event carrying either the replayable homomorphism witnessing x̄ ∈ Q(D')
@@ -62,8 +63,7 @@ struct UnrestrictedDeterminacyResult {
 /// kMemo events for cache probes.
 UnrestrictedDeterminacyResult DecideUnrestrictedDeterminacy(
     const ViewSet& views, const ConjunctiveQuery& q,
-    guard::Budget* budget = nullptr, const memo::MemoOptions& memo = {},
-    obs::ExplainLog* explain = nullptr);
+    guard::Budget* budget = nullptr, obs::ExplainLog* explain = nullptr);
 
 }  // namespace vqdr
 

@@ -6,15 +6,12 @@
 namespace vqdr {
 
 std::vector<UnrestrictedDeterminacyResult> DecideUnrestrictedDeterminacyBatch(
-    const std::vector<DeterminacyBatchItem>& items,
-    const memo::MemoOptions& memo) {
-  return DecideUnrestrictedDeterminacyBatchGoverned(items, nullptr, memo)
-      .results;
+    const std::vector<DeterminacyBatchItem>& items) {
+  return DecideUnrestrictedDeterminacyBatchGoverned(items).results;
 }
 
 DeterminacyBatchResult DecideUnrestrictedDeterminacyBatchGoverned(
-    const std::vector<DeterminacyBatchItem>& items, guard::Budget* budget,
-    const memo::MemoOptions& memo) {
+    const std::vector<DeterminacyBatchItem>& items, guard::Budget* budget) {
   obs::OpScope op(obs::OpKind::kBatch, "determinacy.batch", budget);
   VQDR_TRACE_SPAN("determinacy.batch");
   DeterminacyBatchResult batch;
@@ -27,9 +24,8 @@ DeterminacyBatchResult DecideUnrestrictedDeterminacyBatchGoverned(
       batch.results[i].outcome = budget->stop_reason();
       continue;
     }
-    batch.results[i] = DecideUnrestrictedDeterminacy(items[i].views,
-                                                     items[i].query, budget,
-                                                     memo);
+    batch.results[i] =
+        DecideUnrestrictedDeterminacy(items[i].views, items[i].query, budget);
     // One step per decided item, so step budgets and cancel-at-step-N
     // faults see batch granularity too.
     guard::Check(budget);

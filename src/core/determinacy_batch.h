@@ -21,14 +21,12 @@ struct DeterminacyBatchItem {
 /// calling thread.
 ///
 /// results[i] is exactly DecideUnrestrictedDeterminacy(items[i].views,
-/// items[i].query, nullptr, memo). Each decided item beats the batch's op,
-/// so the stall watchdog sees a long batch move. Callers that want
-/// decisions to run concurrently make them from their own threads, as
-/// vqdr-serve does with one thread per connection; a memo store is safe to
-/// share between them.
+/// items[i].query). Each decided item beats the batch's op, so the stall
+/// watchdog sees a long batch move. Callers that want decisions to run
+/// concurrently make them from their own threads, as vqdr-serve does with
+/// one thread per connection; they share the process memo store.
 std::vector<UnrestrictedDeterminacyResult> DecideUnrestrictedDeterminacyBatch(
-    const std::vector<DeterminacyBatchItem>& items,
-    const memo::MemoOptions& memo = {});
+    const std::vector<DeterminacyBatchItem>& items);
 
 /// Result of a governed batch run.
 struct DeterminacyBatchResult {
@@ -48,12 +46,12 @@ struct DeterminacyBatchResult {
 /// Governed batch: one shared budget envelope across all items. Once the
 /// budget trips, remaining items are skipped (their result records the stop
 /// reason) and the completed prefix of decisions is returned — identical to
-/// what an ungoverned run would have produced for those items.
-/// `memo` is forwarded to every per-item decision: duplicate items hit the
-/// cache, and budget-stopped items are never installed.
+/// what an ungoverned run would have produced for those items. With the
+/// process memo switch on, duplicate items hit the cache, and budget-stopped
+/// items are never installed.
 DeterminacyBatchResult DecideUnrestrictedDeterminacyBatchGoverned(
     const std::vector<DeterminacyBatchItem>& items,
-    guard::Budget* budget = nullptr, const memo::MemoOptions& memo = {});
+    guard::Budget* budget = nullptr);
 
 }  // namespace vqdr
 

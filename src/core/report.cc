@@ -60,7 +60,7 @@ DeterminacyReport AnalyzeDeterminacyImpl(
 
   DeterminacyReport report;
   report.unrestricted =
-      DecideUnrestrictedDeterminacy(views, q, budget, {}, log);
+      DecideUnrestrictedDeterminacy(views, q, budget, log);
   if (!guard::IsComplete(report.unrestricted.outcome)) {
     // The exact decision could not finish inside the budget: no fabricated
     // verdict. Everything the chase computed so far rides along in

@@ -12,7 +12,7 @@
 #include "cq/fingerprint.h"
 #include "cq/matcher.h"
 #include "guard/fault.h"
-#include "memo/store.h"
+#include "memo/cache_through.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,6 +30,22 @@ std::optional<std::string> ContainmentKey(const char* tag,
                                           std::optional<std::string> k2) {
   if (!k1.has_value() || !k2.has_value()) return std::nullopt;
   return std::string(tag) + "|" + *k1 + "|" + *k2;
+}
+
+// The cached form of a containment result is its verdict. Only definitive
+// verdicts are cached: ResolveSweep reports every witness with outcome
+// kComplete, so this single check also admits budget-stopped runs that
+// still found a witness.
+std::optional<bool> CacheableVerdict(const ContainmentResult& result) {
+  if (!guard::IsComplete(result.outcome)) return std::nullopt;
+  return result.contained;
+}
+
+// A cached verdict is complete by construction.
+ContainmentResult CachedVerdict(bool contained) {
+  ContainmentResult result;
+  result.contained = contained;
+  return result;
 }
 
 // Applies a term substitution (variables → terms) to a query.
@@ -99,17 +115,6 @@ void RecordPatternCheck(obs::ExplainLog* log, const char* label,
     }
     e.detail = "frozen head (" + head + ") has no preimage under the right query";
   }
-  log->Append(std::move(e));
-}
-
-// Records a memo probe (hit or miss) for a containment subproblem.
-void RecordMemoProbe(obs::ExplainLog* log, const char* label, bool hit) {
-  if (!obs::Wants(log)) return;
-  obs::ExplainEvent e;
-  e.kind = obs::ExplainKind::kMemo;
-  e.label = label;
-  e.detail = hit ? "hit" : "miss";
-  e.stats["hit"] = hit ? 1 : 0;
   log->Append(std::move(e));
 }
 
@@ -361,31 +366,13 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
     return ResolveSweep(sweep, budget);
   };
 
-  if (memo::ResolveUse(options.memo)) {
-    VQDR_TRACE_SPAN("memo.containment");
-    std::optional<std::string> key =
-        ContainmentKey("cq.sub", CanonicalCqFingerprint(q1),
-                       CanonicalCqFingerprint(q2));
-    if (key.has_value()) {
-      memo::Store& store = memo::ResolveStore(options.memo);
-      if (auto hit = store.Get<bool>(*key)) {
-        RecordMemoProbe(options.explain, "cq.sub", /*hit=*/true);
-        ContainmentResult cached;
-        cached.contained = *hit;
-        return cached;  // A cached verdict is complete by construction.
-      }
-      RecordMemoProbe(options.explain, "cq.sub", /*hit=*/false);
-      ContainmentResult result = compute();
-      // Cache only definitive verdicts. ResolveSweep reports every witness
-      // with outcome kComplete, so this single check also admits
-      // budget-stopped runs that still found a witness.
-      if (guard::IsComplete(result.outcome)) {
-        store.Put(*key, result.contained);
-      }
-      return result;
-    }
-  }
-  return compute();
+  return memo::CacheThrough<bool>(
+      "memo.containment", "cq.sub", options.explain,
+      [&] {
+        return ContainmentKey("cq.sub", CanonicalCqFingerprint(q1),
+                              CanonicalCqFingerprint(q2));
+      },
+      compute, CachedVerdict, CacheableVerdict);
 }
 
 // The bool overloads require completion: they run their governed twin with
@@ -465,28 +452,13 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
     return result;
   };
 
-  if (memo::ResolveUse(options.memo)) {
-    VQDR_TRACE_SPAN("memo.containment.ucq");
-    std::optional<std::string> key =
-        ContainmentKey("ucq.sub", CanonicalUcqFingerprint(q1),
-                       CanonicalUcqFingerprint(q2));
-    if (key.has_value()) {
-      memo::Store& store = memo::ResolveStore(options.memo);
-      if (auto hit = store.Get<bool>(*key)) {
-        RecordMemoProbe(options.explain, "ucq.sub", /*hit=*/true);
-        ContainmentResult cached;
-        cached.contained = *hit;
-        return cached;
-      }
-      RecordMemoProbe(options.explain, "ucq.sub", /*hit=*/false);
-      ContainmentResult result = compute();
-      if (guard::IsComplete(result.outcome)) {
-        store.Put(*key, result.contained);
-      }
-      return result;
-    }
-  }
-  return compute();
+  return memo::CacheThrough<bool>(
+      "memo.containment.ucq", "ucq.sub", options.explain,
+      [&] {
+        return ContainmentKey("ucq.sub", CanonicalUcqFingerprint(q1),
+                              CanonicalUcqFingerprint(q2));
+      },
+      compute, CachedVerdict, CacheableVerdict);
 }
 
 bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,

@@ -6,26 +6,25 @@
 #include "cq/conjunctive_query.h"
 #include "cq/ucq.h"
 #include "guard/budget.h"
-#include "memo/memo.h"
 #include "obs/explain.h"
 
 namespace vqdr {
 
 /// Options for the containment tests.
+///
+/// With the process memo switch on (memo/memo.h), verdicts are cached in
+/// memo::GlobalStore(). Containment verdicts are booleans — invariant under
+/// query isomorphism — so they are cached under the canonical fingerprints
+/// of both sides; queries without a fingerprint (negation, canonicalization
+/// over budget) bypass the cache, and governed sweeps install only kComplete
+/// verdicts (witnesses of non-containment count: they are definitive). See
+/// DESIGN.md §9.
 struct CqContainmentOptions {
   /// Optional resource budget: one step per identification pattern, plus a
   /// poll per matcher backtracking node inside each pattern check. Only the
   /// *Governed entry points honour it; the bool APIs run their governed
   /// twin without it and require completion.
   guard::Budget* budget = nullptr;
-
-  /// Result memoization policy. Containment verdicts are booleans —
-  /// invariant under query isomorphism — so they are cached under the
-  /// canonical fingerprints of both sides; queries without a fingerprint
-  /// (negation, canonicalization over budget) bypass the cache, and
-  /// governed sweeps install only kComplete verdicts (witnesses of
-  /// non-containment count: they are definitive). See DESIGN.md §9.
-  memo::MemoOptions memo;
 
   /// Optional decision-provenance sink (DESIGN.md §10). When non-null,
   /// every pattern check appends an event: a kWitness with the replayable

@@ -1,14 +1,15 @@
 #include "cq/minimize.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "base/check.h"
 #include "cq/containment.h"
 #include "cq/fingerprint.h"
 #include "cq/serialize.h"
+#include "memo/cache_through.h"
 #include "memo/snapshot.h"
-#include "memo/store.h"
 
 namespace vqdr {
 
@@ -86,20 +87,17 @@ ConjunctiveQuery MinimizeCqImpl(const ConjunctiveQuery& q) {
 
 ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& q) {
   VQDR_CHECK(q.IsPureCq()) << "MinimizeCq requires a pure CQ";
-  if (memo::Enabled()) {
-    // Exact key, not the canonical fingerprint: the minimized query keeps
-    // q's concrete variable names and atom order, so isomorphic-but-distinct
-    // inputs must not share an entry (byte-identical replay). Isomorphic
-    // inputs still share work through the memoized containment calls inside
-    // the greedy loop.
-    std::string key = "cq.min|" + ExactCqKey(q);
-    memo::Store& store = memo::GlobalStore();
-    if (auto hit = store.Get<ConjunctiveQuery>(key)) return *hit;
-    ConjunctiveQuery core = MinimizeCqImpl(q);
-    store.Put(key, core);
-    return core;
-  }
-  return MinimizeCqImpl(q);
+  return memo::CacheThrough<ConjunctiveQuery>(
+      /*span=*/nullptr, "cq.min", /*explain=*/nullptr,
+      // Exact key, not the canonical fingerprint: the minimized query keeps
+      // q's concrete variable names and atom order, so isomorphic-but-
+      // distinct inputs must not share an entry (byte-identical replay).
+      // Isomorphic inputs still share work through the memoized containment
+      // calls inside the greedy loop.
+      [&] { return "cq.min|" + ExactCqKey(q); },
+      [&] { return MinimizeCqImpl(q); },
+      [](const ConjunctiveQuery& hit) { return hit; },
+      [](const ConjunctiveQuery& core) { return std::optional(core); });
 }
 
 namespace {
@@ -134,15 +132,12 @@ UnionQuery MinimizeUcqImpl(const UnionQuery& q) {
 
 UnionQuery MinimizeUcq(const UnionQuery& q) {
   VQDR_CHECK(q.IsPureUcq()) << "MinimizeUcq requires a pure UCQ";
-  if (memo::Enabled()) {
-    std::string key = "ucq.min|" + ExactUcqKey(q);
-    memo::Store& store = memo::GlobalStore();
-    if (auto hit = store.Get<UnionQuery>(key)) return *hit;
-    UnionQuery minimized = MinimizeUcqImpl(q);
-    store.Put(key, minimized);
-    return minimized;
-  }
-  return MinimizeUcqImpl(q);
+  return memo::CacheThrough<UnionQuery>(
+      /*span=*/nullptr, "ucq.min", /*explain=*/nullptr,
+      [&] { return "ucq.min|" + ExactUcqKey(q); },
+      [&] { return MinimizeUcqImpl(q); },
+      [](const UnionQuery& hit) { return hit; },
+      [](const UnionQuery& minimized) { return std::optional(minimized); });
 }
 
 }  // namespace vqdr

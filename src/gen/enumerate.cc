@@ -9,9 +9,6 @@
 
 namespace vqdr {
 
-namespace {
-
-// All tuples of the given arity over `universe`.
 std::vector<Tuple> UniverseTuples(int arity, const std::vector<Value>& universe) {
   std::vector<Tuple> result;
   if (arity == 0) {
@@ -32,8 +29,6 @@ std::vector<Tuple> UniverseTuples(int arity, const std::vector<Value>& universe)
   rec(0);
   return result;
 }
-
-}  // namespace
 
 EnumerationOutcome ForEachInstanceOver(
     const Schema& schema, const std::vector<Value>& universe,

@@ -67,6 +67,11 @@ EnumerationOutcome ForEachInstanceUpToIso(
     const Schema& schema, const EnumerationOptions& options,
     const std::function<bool(const Instance&)>& body);
 
+/// All tuples of the given arity over `universe`, in lexicographic order of
+/// positions in `universe`; arity 0 yields the one empty tuple.
+std::vector<Tuple> UniverseTuples(int arity,
+                                  const std::vector<Value>& universe);
+
 /// Enumerates instances whose values are drawn from an explicit `universe`
 /// (used by pre-image search, where view-extent values must be available),
 /// in InstanceSpace order. `budget`, when non-null, is checkpointed once per

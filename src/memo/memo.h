@@ -4,10 +4,11 @@
 /// vqdr::memo — result caching for the containment / chase / determinacy
 /// engines (DESIGN.md §9).
 ///
-/// Memoization is opt-in at runtime: the process-wide switch starts from the
-/// VQDR_MEMO environment variable (off unless set to a truthy value) and
-/// individual calls can force it on or off through MemoOptions. This keeps
-/// cold-path behaviour — including obs counters that tests pin exactly —
+/// Memoization is opt-in at runtime and per process: one switch, which starts
+/// from the VQDR_MEMO environment variable (off unless set to a truthy value),
+/// and one store, GlobalStore(). Every cached engine call goes through
+/// memo::CacheThrough (memo/cache_through.h) under that switch and store, so
+/// the cold path — including obs counters that tests pin exactly — stays
 /// untouched by default.
 
 #include <cstdint>
@@ -16,21 +17,7 @@
 
 namespace vqdr::memo {
 
-/// Per-call memoization policy. kDefault defers to the process-wide switch.
-enum class Use {
-  kDefault,
-  kOn,
-  kOff,
-};
-
 class Store;
-
-/// Optional knobs threaded through engine option structs. `store == nullptr`
-/// means the process-wide GlobalStore().
-struct MemoOptions {
-  Use use = Use::kDefault;
-  Store* store = nullptr;
-};
 
 /// Monotone cache activity counters plus a point-in-time size/capacity pair.
 struct StatsSnapshot {
@@ -98,15 +85,10 @@ struct SnapshotActivity {
 bool Enabled();
 void SetEnabled(bool on);
 
-/// True when this call should consult the cache.
-bool ResolveUse(const MemoOptions& options);
-
 /// The process-wide store; capacity from VQDR_MEMO_CAPACITY (entries, default
-/// 8192; invalid or 0 falls back to the default).
+/// 8192; invalid or 0 falls back to the default). While a ScopedEnable with a
+/// store is alive, returns that store instead.
 Store& GlobalStore();
-
-/// Picks the store a call should use.
-Store& ResolveStore(const MemoOptions& options);
 
 /// Stats of the process-wide store.
 StatsSnapshot GlobalStats();
@@ -114,16 +96,19 @@ StatsSnapshot GlobalStats();
 /// Cumulative snapshot load/flush activity (implemented in snapshot.cc).
 SnapshotActivity GlobalSnapshotActivity();
 
-/// RAII toggle for tests and benchmarks.
+/// RAII toggle for tests and benchmarks: sets the process switch for the
+/// scope and, when `store` is non-null, makes GlobalStore() return `store`
+/// for the scope, nested caches included. Both are restored on exit.
 class ScopedEnable {
  public:
-  explicit ScopedEnable(bool on) : previous_(Enabled()) { SetEnabled(on); }
-  ~ScopedEnable() { SetEnabled(previous_); }
+  explicit ScopedEnable(bool on, Store* store = nullptr);
+  ~ScopedEnable();
   ScopedEnable(const ScopedEnable&) = delete;
   ScopedEnable& operator=(const ScopedEnable&) = delete;
 
  private:
   bool previous_;
+  Store* previous_store_;
 };
 
 }  // namespace vqdr::memo

@@ -37,6 +37,9 @@ std::atomic<bool>& EnabledFlag() {
   return flag;
 }
 
+// The store a live ScopedEnable substituted for the process store, or null.
+std::atomic<Store*> g_scoped_store{nullptr};
+
 }  // namespace
 
 std::size_t ParseCapacityEnvValue(const char* raw) {
@@ -171,19 +174,22 @@ void SetEnabled(bool on) {
   EnabledFlag().store(on, std::memory_order_relaxed);
 }
 
-bool ResolveUse(const MemoOptions& options) {
-  switch (options.use) {
-    case Use::kOn:
-      return true;
-    case Use::kOff:
-      return false;
-    case Use::kDefault:
-      return Enabled();
-  }
-  return false;
+ScopedEnable::ScopedEnable(bool on, Store* store)
+    : previous_(Enabled()),
+      previous_store_(g_scoped_store.load(std::memory_order_acquire)) {
+  SetEnabled(on);
+  if (store != nullptr) g_scoped_store.store(store, std::memory_order_release);
+}
+
+ScopedEnable::~ScopedEnable() {
+  g_scoped_store.store(previous_store_, std::memory_order_release);
+  SetEnabled(previous_);
 }
 
 Store& GlobalStore() {
+  if (Store* scoped = g_scoped_store.load(std::memory_order_acquire)) {
+    return *scoped;
+  }
   static Store* store = [] {
     Store* s = new Store(CapacityFromEnv());
     // Warm boot: VQDR_MEMO_SNAPSHOT names an on-disk image to restore
@@ -193,10 +199,6 @@ Store& GlobalStore() {
     return s;
   }();
   return *store;
-}
-
-Store& ResolveStore(const MemoOptions& options) {
-  return options.store != nullptr ? *options.store : GlobalStore();
 }
 
 StatsSnapshot GlobalStats() { return GlobalStore().Stats(); }

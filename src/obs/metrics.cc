@@ -35,7 +35,6 @@ void AppendUint(std::uint64_t v, std::string* out) {
 }  // namespace
 
 void Histogram::Record(std::uint64_t v) {
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
   buckets_[HistogramBucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
   std::uint64_t cur = min_.load(std::memory_order_relaxed);
@@ -46,6 +45,9 @@ void Histogram::Record(std::uint64_t v) {
   while (v > cur &&
          !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
+  // Publish last: a reader that acquires a count of n sees the sum, bucket,
+  // min and max updates of those n records, so it never reads min > max.
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 void Histogram::Reset() {
@@ -133,7 +135,7 @@ MetricsSnapshot SnapshotMetrics() {
   }
   for (const auto& [name, h] : r.histograms) {
     HistogramSnapshot hs;
-    hs.count = h->count();
+    hs.count = h->count();  // first: the fields below are at least as new
     if (hs.count > 0) {
       hs.sum = h->sum();
       hs.min = h->min();

@@ -70,8 +70,10 @@ inline std::uint64_t HistogramBucketUpperBound(std::size_t i) {
 class Histogram {
  public:
   void Record(std::uint64_t v);
+  /// Acquire pairs with Record's release: the other fields, read after it,
+  /// cover at least the records this count does.
   std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
+    return count_.load(std::memory_order_acquire);
   }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   std::uint64_t min() const { return min_.load(std::memory_order_relaxed); }

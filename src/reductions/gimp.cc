@@ -7,34 +7,13 @@
 #include "fo/evaluator.h"
 #include "fo/normalize.h"
 #include "fo/parser.h"
+#include "gen/enumerate.h"
 
 namespace vqdr {
 
 namespace {
 
 constexpr char kDiagName[] = "Diag__";
-
-// All tuples over `universe` of the given arity.
-std::vector<Tuple> AllTuplesOver(const std::set<Value>& universe, int arity) {
-  std::vector<Tuple> result;
-  if (arity == 0) {
-    result.push_back(Tuple{});
-    return result;
-  }
-  Tuple current(arity);
-  std::function<void(int)> rec = [&](int pos) {
-    if (pos == arity) {
-      result.push_back(current);
-      return;
-    }
-    for (Value v : universe) {
-      current[pos] = v;
-      rec(pos + 1);
-    }
-  };
-  rec(0);
-  return result;
-}
 
 // Replaces equality atoms by Diag__ atoms (the construction's safe-view
 // encoding of equality).
@@ -330,8 +309,9 @@ Instance GimpConstruction::CompleteInstance(
     result.Set(d.name, d_tau_prime.Get(d.name));
   }
   // Universe: active domain plus φ's constants.
-  std::set<Value> universe = d_tau_prime.ActiveDomain();
-  for (Value c : phi_->Constants()) universe.insert(c);
+  std::set<Value> universe_set = d_tau_prime.ActiveDomain();
+  for (Value c : phi_->Constants()) universe_set.insert(c);
+  std::vector<Value> universe(universe_set.begin(), universe_set.end());
 
   // Diagonal first (node formulas may reference it).
   if (full_schema_.Contains(kDiagName)) {
@@ -351,7 +331,7 @@ Instance GimpConstruction::CompleteInstance(
     }
     // Bar = universe^k − content.
     Relation bar(static_cast<int>(node.vars.size()));
-    for (const Tuple& t : AllTuplesOver(universe, bar.arity())) {
+    for (const Tuple& t : UniverseTuples(bar.arity(), universe)) {
       if (!content.Contains(t)) bar.Insert(t);
     }
     result.Set(node.neg.predicate, bar);

@@ -6,34 +6,9 @@
 
 #include "base/check.h"
 #include "fo/evaluator.h"
+#include "gen/enumerate.h"
 
 namespace vqdr {
-
-namespace {
-
-// All tuples of the given arity over `universe`, in lexicographic order.
-std::vector<Tuple> AllTuples(const std::vector<Value>& universe, int arity) {
-  std::vector<Tuple> result;
-  if (arity == 0) {
-    result.push_back(Tuple{});
-    return result;
-  }
-  Tuple current(arity);
-  std::function<void(int)> rec = [&](int pos) {
-    if (pos == arity) {
-      result.push_back(current);
-      return;
-    }
-    for (Value v : universe) {
-      current[pos] = v;
-      rec(pos + 1);
-    }
-  };
-  rec(0);
-  return result;
-}
-
-}  // namespace
 
 std::string SoQuery::ToString() const {
   std::ostringstream out;
@@ -55,65 +30,62 @@ StatusOr<Relation> EvaluateSo(const SoQuery& q, const Instance& db,
   for (Value c : q.matrix.formula->Constants()) universe_set.insert(c);
   std::vector<Value> universe(universe_set.begin(), universe_set.end());
 
-  // Candidate tuple pools per quantified relation, with budget checks.
-  std::vector<std::vector<Tuple>> pools;
+  // Budget checks on the candidate tuples of each quantified relation
+  // (|universe|^arity of them), before any pool is built.
   std::uint64_t total_assignments = 1;
   for (const RelationDecl& decl : q.relation_vars) {
-    std::vector<Tuple> pool = AllTuples(universe, decl.arity);
-    if (pool.size() > budget.max_tuples_per_relation) {
+    std::uint64_t tuples = 1;  // saturated at UINT64_MAX
+    const std::uint64_t n = universe.size();
+    for (int i = 0; i < decl.arity; ++i) {
+      tuples = n != 0 && tuples > UINT64_MAX / n ? UINT64_MAX : tuples * n;
+    }
+    if (tuples > budget.max_tuples_per_relation) {
       return Status::Error("SO budget exceeded: relation " + decl.name +
-                           " has " + std::to_string(pool.size()) +
+                           " has " + std::to_string(tuples) +
                            " candidate tuples (max " +
                            std::to_string(budget.max_tuples_per_relation) +
                            ")");
     }
-    // 2^(pool size) assignments for this relation.
-    if (pool.size() >= 63) return Status::Error("SO budget overflow");
-    std::uint64_t count = 1ull << pool.size();
+    // 2^tuples assignments for this relation.
+    if (tuples >= 63) return Status::Error("SO budget overflow");
+    std::uint64_t count = 1ull << tuples;
     if (total_assignments > budget.max_assignments / count) {
       return Status::Error("SO budget exceeded: too many assignments");
     }
     total_assignments *= count;
-    pools.push_back(std::move(pool));
   }
 
-  // Extended schema: base plus quantified relations.
+  // Extended schema: base plus quantified relations, whose assignments are
+  // the instances of `space` (relation 0 the most significant digit, subset
+  // masks ascending).
   Schema extended = db.schema();
+  Schema quantified;
   for (const RelationDecl& decl : q.relation_vars) {
     extended.Add(decl.name, decl.arity);
+    quantified.Add(decl.name, decl.arity);
   }
+  const InstanceSpace space(quantified, universe);
 
   // Enumerate assignments of free variables over the universe; for each,
   // search (∃) or verify (∀) over all relation assignments.
   Relation result(q.head_arity());
 
-  // Checks the matrix truth over all relation assignments.
+  // Checks the matrix truth over all relation assignments: ∃ stops at the
+  // first assignment where it holds, ∀ at the first where it fails.
   auto decide = [&](const std::map<std::string, Value>& binding) -> bool {
     Instance extended_db(extended);
     for (const RelationDecl& d : db.schema().decls()) {
       extended_db.Set(d.name, db.Get(d.name));
     }
-    std::function<bool(std::size_t)> rec = [&](std::size_t i) -> bool {
-      if (i == pools.size()) {
-        bool holds = EvalFo(q.matrix.formula, extended_db, binding);
-        return q.existential ? holds : holds;
+    bool found = false;  // an assignment where the matrix holds (∃) or fails
+    space.ForRange(0, space.total(), [&](std::uint64_t, const Instance& rels) {
+      for (const RelationDecl& d : q.relation_vars) {
+        extended_db.Set(d.name, rels.Get(d.name));
       }
-      const std::vector<Tuple>& pool = pools[i];
-      const std::string& name = q.relation_vars[i].name;
-      std::uint64_t subsets = 1ull << pool.size();
-      for (std::uint64_t mask = 0; mask < subsets; ++mask) {
-        Relation rel(q.relation_vars[i].arity);
-        for (std::size_t t = 0; t < pool.size(); ++t) {
-          if (mask & (1ull << t)) rel.Insert(pool[t]);
-        }
-        extended_db.Set(name, std::move(rel));
-        bool sub = rec(i + 1);
-        if (q.existential && sub) return true;
-        if (!q.existential && !sub) return false;
-      }
-      return !q.existential;
-    };
-    return rec(0);
+      found = EvalFo(q.matrix.formula, extended_db, binding) == q.existential;
+      return !found;
+    });
+    return q.existential ? found : !found;
   };
 
   if (q.head_arity() == 0) {

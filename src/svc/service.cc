@@ -103,17 +103,9 @@ std::string DeterminacyResultJson(const UnrestrictedDeterminacyResult& result,
     out.push_back(',');
   }
   out.append("\"view_image_atoms\":");
-  std::size_t image_atoms = 0;
-  for (const RelationDecl& d : result.canonical_view_image.schema().decls()) {
-    image_atoms += result.canonical_view_image.Get(d.name).tuples().size();
-  }
-  out.append(std::to_string(image_atoms));
-  std::size_t inverse_atoms = 0;
-  for (const RelationDecl& d : result.chase_inverse.schema().decls()) {
-    inverse_atoms += result.chase_inverse.Get(d.name).tuples().size();
-  }
+  out.append(std::to_string(result.canonical_view_image.TupleCount()));
   out.append(",\"chase_inverse_atoms\":");
-  out.append(std::to_string(inverse_atoms));
+  out.append(std::to_string(result.chase_inverse.TupleCount()));
   if (result.canonical_rewriting.has_value()) {
     out.append(",\"rewriting\":");
     AppendJson(CqToString(*result.canonical_rewriting, pool), &out);
@@ -146,21 +138,14 @@ std::string ChaseResultJson(const ChaseChain& chain, const NamePool& pool) {
   out.append(",\"levels\":[");
   for (std::size_t k = 0; k < chain.d.size(); ++k) {
     if (k > 0) out.push_back(',');
-    auto atoms = [](const Instance& inst) {
-      std::size_t n = 0;
-      for (const RelationDecl& d : inst.schema().decls()) {
-        n += inst.Get(d.name).tuples().size();
-      }
-      return n;
-    };
     out.append("{\"d\":");
-    out.append(std::to_string(atoms(chain.d[k])));
+    out.append(std::to_string(chain.d[k].TupleCount()));
     out.append(",\"s\":");
-    out.append(std::to_string(atoms(chain.s[k])));
+    out.append(std::to_string(chain.s[k].TupleCount()));
     out.append(",\"s_prime\":");
-    out.append(std::to_string(atoms(chain.s_prime[k])));
+    out.append(std::to_string(chain.s_prime[k].TupleCount()));
     out.append(",\"d_prime\":");
-    out.append(std::to_string(atoms(chain.d_prime[k])));
+    out.append(std::to_string(chain.d_prime[k].TupleCount()));
     out.push_back('}');
   }
   out.push_back(']');

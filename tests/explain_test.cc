@@ -231,7 +231,7 @@ TEST_F(ExplainFixture, DeterminedDecisionCarriesAVerifyingWitness) {
   ConjunctiveQuery q = Cq("Q(x, y) :- E(x, z), E(z, y)");
 
   obs::ExplainLog log;
-  auto result = DecideUnrestrictedDeterminacy(views, q, nullptr, {}, &log);
+  auto result = DecideUnrestrictedDeterminacy(views, q, nullptr, &log);
   EXPECT_TRUE(result.determined);
 
   LogAudit audit = Audit(log);
@@ -253,7 +253,7 @@ TEST_F(ExplainFixture, UndeterminedDecisionCarriesTheChaseInverse) {
   ConjunctiveQuery q = Cq("Q(x, y) :- E(x, a), E(a, b), E(b, y)");
 
   obs::ExplainLog log;
-  auto result = DecideUnrestrictedDeterminacy(views, q, nullptr, {}, &log);
+  auto result = DecideUnrestrictedDeterminacy(views, q, nullptr, &log);
   EXPECT_FALSE(result.determined);
 
   for (const obs::ExplainEvent& e : log.events()) {
@@ -297,11 +297,10 @@ TEST_F(ExplainFixture, MemoProbesAppearAsHitAndMissEvents) {
   ConjunctiveQuery walk = Cq("Q(x) :- E(x, u), E(u, v)");
 
   memo::Store store(64);
+  memo::ScopedEnable on(true, &store);
   obs::ExplainLog log;
   CqContainmentOptions options;
   options.explain = &log;
-  options.memo.use = memo::Use::kOn;
-  options.memo.store = &store;
   EXPECT_TRUE(CqContainedIn(triangle, walk, options));
   EXPECT_TRUE(CqContainedIn(triangle, walk, options));
 

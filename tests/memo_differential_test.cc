@@ -48,6 +48,18 @@ void ExpectSameResult(const UnrestrictedDeterminacyResult& got,
   }
 }
 
+// Runs `call` with the memo off, and with it on against `store`.
+template <typename Call>
+auto Cold(Call call) {
+  memo::ScopedEnable off(false);
+  return call();
+}
+template <typename Call>
+auto Warm(memo::Store& store, Call call) {
+  memo::ScopedEnable on(true, &store);
+  return call();
+}
+
 std::vector<DeterminacyBatchItem> SeededItems() {
   std::vector<DeterminacyBatchItem> items;
   RandomCqOptions opts;
@@ -68,22 +80,21 @@ std::vector<DeterminacyBatchItem> SeededItems() {
 }
 
 // Runs the batch decider on `threads` std::threads at once, each over its
-// own contiguous slice of `items`, all against `memo` — the sharing
-// vqdr-serve's connection threads do with the process store. With the
-// duplicated slate, two threads decide the same items concurrently.
+// own contiguous slice of `items`, all against the caller's memo scope — the
+// sharing vqdr-serve's connection threads do with the process store. With
+// the duplicated slate, two threads decide the same items concurrently.
 std::vector<UnrestrictedDeterminacyResult> DecideOnThreads(
-    const std::vector<DeterminacyBatchItem>& items, int threads,
-    const memo::MemoOptions& memo) {
+    const std::vector<DeterminacyBatchItem>& items, int threads) {
   std::vector<UnrestrictedDeterminacyResult> results(items.size());
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
     const std::size_t begin = items.size() * t / threads;
     const std::size_t end = items.size() * (t + 1) / threads;
-    workers.emplace_back([&items, &results, &memo, begin, end] {
+    workers.emplace_back([&items, &results, begin, end] {
       std::vector<DeterminacyBatchItem> slice(items.begin() + begin,
                                               items.begin() + end);
       std::vector<UnrestrictedDeterminacyResult> decided =
-          DecideUnrestrictedDeterminacyBatch(slice, memo);
+          DecideUnrestrictedDeterminacyBatch(slice);
       for (std::size_t i = 0; i < decided.size(); ++i) {
         results[begin + i] = std::move(decided[i]);
       }
@@ -97,18 +108,17 @@ TEST(MemoDifferential, BatchDeterminacyColdVsWarmAcrossThreadCounts) {
   std::vector<DeterminacyBatchItem> items = SeededItems();
 
   // Cold baseline: serial, memo forced off.
-  memo::MemoOptions off{memo::Use::kOff, nullptr};
-  std::vector<UnrestrictedDeterminacyResult> cold =
-      DecideUnrestrictedDeterminacyBatch(items, off);
+  std::vector<UnrestrictedDeterminacyResult> cold = Cold(
+      [&] { return DecideUnrestrictedDeterminacyBatch(items); });
   ASSERT_EQ(cold.size(), items.size());
 
   // Warm runs share one store across every thread count: entries installed
   // by the serial pass must replay identically under contention.
   memo::Store store(4096);
-  memo::MemoOptions on{memo::Use::kOn, &store};
+  memo::ScopedEnable on(true, &store);
   for (int threads : {1, 2, 8}) {
     std::vector<UnrestrictedDeterminacyResult> warm =
-        DecideOnThreads(items, threads, on);
+        DecideOnThreads(items, threads);
     ASSERT_EQ(warm.size(), cold.size());
     for (std::size_t i = 0; i < cold.size(); ++i) {
       ExpectSameResult(warm[i], cold[i],
@@ -139,16 +149,15 @@ TEST(MemoDifferential, ContainmentMatrixColdVsWarm) {
   slate.push_back(StarQuery(3));
 
   memo::Store store(4096);
-  CqContainmentOptions warm_opts;
-  warm_opts.memo = {memo::Use::kOn, &store};
   std::size_t compared = 0;
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < slate.size(); ++i) {
       for (std::size_t j = 0; j < slate.size(); ++j) {
         // Containment is only defined between equal head arities.
         if (slate[i].head_arity() != slate[j].head_arity()) continue;
-        bool cold = CqContainedIn(slate[i], slate[j]);
-        bool warm = CqContainedIn(slate[i], slate[j], warm_opts);
+        auto check = [&] { return CqContainedIn(slate[i], slate[j]); };
+        bool cold = Cold(check);
+        bool warm = Warm(store, check);
         EXPECT_EQ(warm, cold)
             << "round " << round << " pair (" << i << "," << j << "): "
             << slate[i].ToString() << " ⊆? " << slate[j].ToString();
@@ -173,13 +182,12 @@ TEST(MemoDifferential, UcqContainmentColdVsWarm) {
   }
 
   memo::Store store(1024);
-  CqContainmentOptions warm_opts;
-  warm_opts.memo = {memo::Use::kOn, &store};
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < slate.size(); ++i) {
       for (std::size_t j = 0; j < slate.size(); ++j) {
-        bool cold = UcqContainedIn(slate[i], slate[j]);
-        bool warm = UcqContainedIn(slate[i], slate[j], warm_opts);
+        auto check = [&] { return UcqContainedIn(slate[i], slate[j]); };
+        bool cold = Cold(check);
+        bool warm = Warm(store, check);
         EXPECT_EQ(warm, cold) << "pair (" << i << "," << j << ")";
       }
     }
@@ -194,13 +202,12 @@ TEST(MemoDifferential, TinyCapacityThrashStillMatchesCold) {
                                          ChainQuery(4), StarQuery(2),
                                          CycleQuery(3)};
   memo::Store store(/*capacity=*/2, /*shards=*/1);
-  CqContainmentOptions warm_opts;
-  warm_opts.memo = {memo::Use::kOn, &store};
   for (int round = 0; round < 3; ++round) {
     for (const ConjunctiveQuery& a : slate) {
       for (const ConjunctiveQuery& b : slate) {
         if (a.head_arity() != b.head_arity()) continue;
-        EXPECT_EQ(CqContainedIn(a, b, warm_opts), CqContainedIn(a, b))
+        auto check = [&] { return CqContainedIn(a, b); };
+        EXPECT_EQ(Warm(store, check), Cold(check))
             << a.ToString() << " ⊆? " << b.ToString();
       }
     }
@@ -217,7 +224,8 @@ TEST(MemoChaos, InjectedContainmentFaultInstallsNothing) {
 
   memo::Store store(64);
   CqContainmentOptions options;
-  options.memo = {memo::Use::kOn, &store};
+  bool cold = Cold([&] { return CqContainedIn(q1, q2); });
+  memo::ScopedEnable on(true, &store);
 
   guard::ArmFault(guard::FaultKind::kAllocFailure, "cq.pattern", 1);
   ContainmentResult faulted = CqContainedInGoverned(q1, q2, options);
@@ -230,7 +238,7 @@ TEST(MemoChaos, InjectedContainmentFaultInstallsNothing) {
   // the ungoverned cold verdict.
   ContainmentResult clean = CqContainedInGoverned(q1, q2, options);
   EXPECT_EQ(clean.outcome, guard::Outcome::kComplete);
-  EXPECT_EQ(clean.contained, CqContainedIn(q1, q2));
+  EXPECT_EQ(clean.contained, cold);
   EXPECT_EQ(store.Stats().installs, 1u);
 
   // And the cached entry serves the true verdict, not the faulted run's.
@@ -247,9 +255,9 @@ TEST(MemoChaos, InjectedChaseFaultInstallsNothing) {
   ConjunctiveQuery q = parsed.value();
 
   memo::Store store(64);
+  memo::ScopedEnable on(true, &store);
   ChaseChainOptions options;
   options.levels = 2;
-  options.memo = {memo::Use::kOn, &store};
 
   guard::ArmFault(guard::FaultKind::kAllocFailure, "chase.view_inverse", 2);
   ValueFactory faulted_factory;
@@ -264,7 +272,8 @@ TEST(MemoChaos, InjectedChaseFaultInstallsNothing) {
   ValueFactory f1;
   ChaseChain clean = BuildChaseChain(views, q, options, f1);
   EXPECT_EQ(clean.outcome, guard::Outcome::kComplete);
-  EXPECT_EQ(store.Stats().installs, 1u);
+  // The chain plus the three chase-back steps with distinct keys.
+  EXPECT_EQ(store.Stats().installs, 4u);
   ValueFactory f2;
   ChaseChain warm = BuildChaseChain(views, q, options, f2);
   EXPECT_GE(store.Stats().hits, 1u);
@@ -284,7 +293,7 @@ TEST(MemoChaos, BudgetStoppedDeterminacyInstallsNothing) {
   ConjunctiveQuery q = parsed.value();
 
   memo::Store store(64);
-  memo::MemoOptions on{memo::Use::kOn, &store};
+  memo::ScopedEnable on(true, &store);
 
   // A one-step budget trips almost immediately; the stopped result must not
   // be cached.
@@ -292,17 +301,16 @@ TEST(MemoChaos, BudgetStoppedDeterminacyInstallsNothing) {
   spec.max_steps = 1;
   guard::Budget budget(spec);
   UnrestrictedDeterminacyResult stopped =
-      DecideUnrestrictedDeterminacy(views, q, &budget, on);
+      DecideUnrestrictedDeterminacy(views, q, &budget);
   EXPECT_FALSE(guard::IsComplete(stopped.outcome));
   EXPECT_EQ(store.Stats().installs, 0u);
 
-  // Ungoverned run installs the real result; a warm call replays it.
-  UnrestrictedDeterminacyResult clean =
-      DecideUnrestrictedDeterminacy(views, q, nullptr, on);
+  // Ungoverned run installs the real result and its chase-back; a warm call
+  // replays it.
+  UnrestrictedDeterminacyResult clean = DecideUnrestrictedDeterminacy(views, q);
   EXPECT_EQ(clean.outcome, guard::Outcome::kComplete);
-  EXPECT_EQ(store.Stats().installs, 1u);
-  UnrestrictedDeterminacyResult warm =
-      DecideUnrestrictedDeterminacy(views, q, nullptr, on);
+  EXPECT_EQ(store.Stats().installs, 2u);
+  UnrestrictedDeterminacyResult warm = DecideUnrestrictedDeterminacy(views, q);
   ExpectSameResult(warm, clean, "warm determinacy after budget-stopped run");
 }
 

@@ -286,9 +286,10 @@ TEST(Snapshot, DeterminacyWorkloadSurvivesRoundTrip) {
   ConjunctiveQuery q = ChainQuery(2);
 
   memo::Store cold(64);
-  memo::MemoOptions cold_opts{memo::Use::kOn, &cold};
-  UnrestrictedDeterminacyResult first =
-      DecideUnrestrictedDeterminacy(views, q, nullptr, cold_opts);
+  UnrestrictedDeterminacyResult first = [&] {
+    memo::ScopedEnable on(true, &cold);
+    return DecideUnrestrictedDeterminacy(views, q);
+  }();
   ASSERT_TRUE(guard::IsComplete(first.outcome));
   ASSERT_GE(cold.size(), 1u);
 
@@ -303,9 +304,9 @@ TEST(Snapshot, DeterminacyWorkloadSurvivesRoundTrip) {
   EXPECT_EQ(rstats.entries, wstats.entries);
 
   std::uint64_t misses_before = warm.Stats().misses;
-  memo::MemoOptions warm_opts{memo::Use::kOn, &warm};
+  memo::ScopedEnable on(true, &warm);
   UnrestrictedDeterminacyResult replay =
-      DecideUnrestrictedDeterminacy(views, q, nullptr, warm_opts);
+      DecideUnrestrictedDeterminacy(views, q);
   EXPECT_EQ(warm.Stats().misses, misses_before) << "restored entry missed";
   EXPECT_GE(warm.Stats().hits, 1u);
   EXPECT_EQ(replay.determined, first.determined);
@@ -331,18 +332,18 @@ TEST(Snapshot, ChaseChainWorkloadSurvivesRoundTrip) {
   options.levels = 2;
 
   memo::Store cold(64);
-  memo::MemoOptions cold_opts{memo::Use::kOn, &cold};
-  options.memo = cold_opts;
   ValueFactory f1;
-  ChaseChain first = BuildChaseChain(views, q, options, f1);
+  ChaseChain first = [&] {
+    memo::ScopedEnable on(true, &cold);
+    return BuildChaseChain(views, q, options, f1);
+  }();
   ASSERT_GE(cold.size(), 1u);
 
   std::string image = memo::SerializeSnapshot(cold, nullptr);
   memo::Store warm(64);
   ASSERT_FALSE(memo::DeserializeSnapshot(image, warm).corrupt);
 
-  memo::MemoOptions warm_opts{memo::Use::kOn, &warm};
-  options.memo = warm_opts;
+  memo::ScopedEnable on(true, &warm);
   ValueFactory f2;
   ChaseChain replay = BuildChaseChain(views, q, options, f2);
   EXPECT_GE(warm.Stats().hits, 1u);

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "base/rng.h"
 #include "chase/chain.h"
+#include "chase/view_inverse.h"
 #include "core/determinacy.h"
 #include "core/report.h"
 #include "cq/containment.h"
@@ -132,17 +134,28 @@ TEST(MemoStore, StatsDeltaSubtractsMonotoneFields) {
 
 TEST(MemoEnable, ScopedEnableRestores) {
   bool was = memo::Enabled();
+  memo::Store& process_store = memo::GlobalStore();
   {
     memo::ScopedEnable on(true);
     EXPECT_TRUE(memo::Enabled());
-    EXPECT_TRUE(memo::ResolveUse(memo::MemoOptions{}));
-    EXPECT_FALSE(
-        memo::ResolveUse(memo::MemoOptions{memo::Use::kOff, nullptr}));
+    EXPECT_EQ(&memo::GlobalStore(), &process_store);
   }
   EXPECT_EQ(memo::Enabled(), was);
-  memo::ScopedEnable off(false);
-  EXPECT_FALSE(memo::ResolveUse(memo::MemoOptions{}));
-  EXPECT_TRUE(memo::ResolveUse(memo::MemoOptions{memo::Use::kOn, nullptr}));
+  memo::Store store(16);
+  {
+    memo::ScopedEnable on(true, &store);
+    EXPECT_TRUE(memo::Enabled());
+    EXPECT_EQ(&memo::GlobalStore(), &store);
+    {
+      // A nested scope without a store keeps the substituted one.
+      memo::ScopedEnable off(false);
+      EXPECT_FALSE(memo::Enabled());
+      EXPECT_EQ(&memo::GlobalStore(), &store);
+    }
+    EXPECT_TRUE(memo::Enabled());
+  }
+  EXPECT_EQ(memo::Enabled(), was);
+  EXPECT_EQ(&memo::GlobalStore(), &process_store);
 }
 
 // --- canonical fingerprints ------------------------------------------------
@@ -260,23 +273,21 @@ TEST(Fingerprint, UcqInvariantUnderDisjunctOrderAndFalseDisjuncts) {
 // --- engine wiring ---------------------------------------------------------
 
 TEST(MemoWiring, ContainmentHitsAndMatchesColdVerdict) {
-  memo::Store store(256);
-  CqContainmentOptions memoized;
-  memoized.memo = {memo::Use::kOn, &store};
-
   ConjunctiveQuery q1 = ChainQuery(4);
   ConjunctiveQuery q2 = ChainQuery(3);
   bool cold12 = CqContainedIn(q1, q2);
   bool cold21 = CqContainedIn(q2, q1);
 
-  EXPECT_EQ(CqContainedIn(q1, q2, memoized), cold12);
-  EXPECT_EQ(CqContainedIn(q2, q1, memoized), cold21);
+  memo::Store store(256);
+  memo::ScopedEnable on(true, &store);
+  EXPECT_EQ(CqContainedIn(q1, q2), cold12);
+  EXPECT_EQ(CqContainedIn(q2, q1), cold21);
   memo::StatsSnapshot after_first = store.Stats();
   EXPECT_GE(after_first.installs, 2u);
 
   // Second round: same verdicts, served from the cache.
-  EXPECT_EQ(CqContainedIn(q1, q2, memoized), cold12);
-  EXPECT_EQ(CqContainedIn(q2, q1, memoized), cold21);
+  EXPECT_EQ(CqContainedIn(q1, q2), cold12);
+  EXPECT_EQ(CqContainedIn(q2, q1), cold21);
   memo::StatsSnapshot delta = store.Stats().Delta(after_first);
   EXPECT_GE(delta.hits, 2u);
   EXPECT_EQ(delta.installs, 0u);
@@ -286,28 +297,23 @@ TEST(MemoWiring, ContainmentHitsAndMatchesColdVerdict) {
   ConjunctiveQuery iso = ShuffleAtoms(q1, rng).RenameVariables(
       [](const std::string& v) { return v + "x"; });
   memo::StatsSnapshot before_iso = store.Stats();
-  EXPECT_EQ(CqContainedIn(iso, q2, memoized), cold12);
+  EXPECT_EQ(CqContainedIn(iso, q2), cold12);
   EXPECT_GE(store.Stats().Delta(before_iso).hits, 1u);
 }
 
 TEST(MemoWiring, GovernedContainmentCachedVerdictIsComplete) {
   memo::Store store(64);
-  CqContainmentOptions options;
-  options.memo = {memo::Use::kOn, &store};
-  ContainmentResult cold = CqContainedInGoverned(ChainQuery(3), ChainQuery(5),
-                                                 options);
-  ContainmentResult warm = CqContainedInGoverned(ChainQuery(3), ChainQuery(5),
-                                                 options);
+  memo::ScopedEnable on(true, &store);
+  ContainmentResult cold =
+      CqContainedInGoverned(ChainQuery(3), ChainQuery(5), {});
+  ContainmentResult warm =
+      CqContainedInGoverned(ChainQuery(3), ChainQuery(5), {});
   EXPECT_EQ(warm.contained, cold.contained);
   EXPECT_EQ(warm.outcome, guard::Outcome::kComplete);
 }
 
 TEST(MemoWiring, UcqContainmentHitsAcrossDisjunctOrder) {
   NamePool pool;
-  memo::Store store(64);
-  CqContainmentOptions options;
-  options.memo = {memo::Use::kOn, &store};
-
   UnionQuery u1;
   u1.AddDisjunct(Cq("Q(x) :- E(x, y)", pool));
   u1.AddDisjunct(Cq("Q(x) :- P(x)", pool));
@@ -315,12 +321,15 @@ TEST(MemoWiring, UcqContainmentHitsAcrossDisjunctOrder) {
   u2.AddDisjunct(Cq("Q(x) :- P(x)", pool));
   u2.AddDisjunct(Cq("Q(x) :- E(x, y)", pool));
 
-  bool cold = UcqContainedIn(u1, u2);
-  EXPECT_EQ(UcqContainedIn(u1, u2, options), cold);
+  bool cold12 = UcqContainedIn(u1, u2);
+  bool cold21 = UcqContainedIn(u2, u1);
+  memo::Store store(64);
+  memo::ScopedEnable on(true, &store);
+  EXPECT_EQ(UcqContainedIn(u1, u2), cold12);
   memo::StatsSnapshot before = store.Stats();
   // Same test with both sides' disjuncts reordered: same canonical key.
-  EXPECT_EQ(UcqContainedIn(u2, u1, options), UcqContainedIn(u2, u1));
-  EXPECT_EQ(UcqContainedIn(u1, u2, options), cold);
+  EXPECT_EQ(UcqContainedIn(u2, u1), cold21);
+  EXPECT_EQ(UcqContainedIn(u1, u2), cold12);
   EXPECT_GE(store.Stats().Delta(before).hits, 1u);
 }
 
@@ -338,21 +347,20 @@ TEST(MemoWiring, MinimizeCqReplaysExactResult) {
 TEST(MemoWiring, ChaseChainHitReplaysChainAndFactoryState) {
   ViewSet views = PathViews(2);
   ConjunctiveQuery q = ChainQuery(4);
-  memo::Store store(64);
 
-  ChaseChainOptions cold_opts;
-  cold_opts.levels = 2;
+  ChaseChainOptions options;
+  options.levels = 2;
   ValueFactory cold_factory;
-  ChaseChain cold = BuildChaseChain(views, q, cold_opts, cold_factory);
+  ChaseChain cold = BuildChaseChain(views, q, options, cold_factory);
 
-  ChaseChainOptions memo_opts;
-  memo_opts.levels = 2;
-  memo_opts.memo = {memo::Use::kOn, &store};
+  memo::Store store(64);
+  memo::ScopedEnable on(true, &store);
   ValueFactory f1;
-  ChaseChain warm1 = BuildChaseChain(views, q, memo_opts, f1);
-  EXPECT_EQ(store.Stats().installs, 1u);
+  ChaseChain warm1 = BuildChaseChain(views, q, options, f1);
+  // The chain plus its five chase-back steps, each under its own key.
+  EXPECT_EQ(store.Stats().installs, 6u);
   ValueFactory f2;
-  ChaseChain warm2 = BuildChaseChain(views, q, memo_opts, f2);
+  ChaseChain warm2 = BuildChaseChain(views, q, options, f2);
   EXPECT_GE(store.Stats().hits, 1u);
 
   for (const ChaseChain* chain : {&cold, &warm1, &warm2}) {
@@ -377,11 +385,9 @@ TEST(MemoWiring, DeterminacyResultReplaysByteIdentically) {
   UnrestrictedDeterminacyResult cold = DecideUnrestrictedDeterminacy(views, q);
 
   memo::Store store(64);
-  memo::MemoOptions options{memo::Use::kOn, &store};
-  UnrestrictedDeterminacyResult warm1 =
-      DecideUnrestrictedDeterminacy(views, q, nullptr, options);
-  UnrestrictedDeterminacyResult warm2 =
-      DecideUnrestrictedDeterminacy(views, q, nullptr, options);
+  memo::ScopedEnable on(true, &store);
+  UnrestrictedDeterminacyResult warm1 = DecideUnrestrictedDeterminacy(views, q);
+  UnrestrictedDeterminacyResult warm2 = DecideUnrestrictedDeterminacy(views, q);
   EXPECT_GE(store.Stats().hits, 1u);
 
   for (const UnrestrictedDeterminacyResult* r : {&warm1, &warm2}) {
@@ -411,6 +417,74 @@ TEST(MemoWiring, ReportCarriesMemoActivityBlock) {
   EXPECT_TRUE(report.memo.any());
   EXPECT_GE(report.memo.hits, 1u);
   EXPECT_NE(report.Summary().find("[memo]"), std::string::npos);
+}
+
+// --- one switch and one store, nested caches included -----------------------
+
+TEST(MemoNesting, DecisionInstallsItsEntryAndItsChaseBack) {
+  memo::Store& process_store = memo::GlobalStore();
+  memo::StatsSnapshot process_before = process_store.Stats();
+  memo::Store store(64);
+  {
+    memo::ScopedEnable on(true, &store);
+    UnrestrictedDeterminacyResult result =
+        DecideUnrestrictedDeterminacy(PathViews(2), ChainQuery(2));
+    ASSERT_EQ(result.outcome, guard::Outcome::kComplete);
+  }
+  EXPECT_EQ(store.Stats().installs, 2u);
+  std::vector<std::string> tags;
+  for (const memo::Store::ErasedEntry& entry : store.ExportEntries()) {
+    tags.push_back(entry.key.substr(0, entry.key.find('|')));
+  }
+  std::sort(tags.begin(), tags.end());
+  EXPECT_EQ(tags, (std::vector<std::string>{"chase.vinv", "det"}));
+  EXPECT_FALSE(process_store.Stats().Delta(process_before).any());
+  EXPECT_EQ(process_store.size(), process_before.entries);
+}
+
+TEST(MemoNesting, SwitchOffLeavesEveryStoreUntouched) {
+  memo::Store& process_store = memo::GlobalStore();
+  memo::StatsSnapshot process_before = process_store.Stats();
+  memo::Store store(64);
+  memo::ScopedEnable on(true, &store);
+  {
+    memo::ScopedEnable off(false);
+    DecideUnrestrictedDeterminacy(PathViews(2), ChainQuery(2));
+    ValueFactory factory;
+    BuildChaseChain(PathViews(2), ChainQuery(3), 2, factory);
+    CqContainedIn(ChainQuery(3), ChainQuery(2));
+  }
+  EXPECT_FALSE(store.Stats().any());
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(process_store.Stats().Delta(process_before).any());
+}
+
+TEST(MemoNesting, RepeatedViewInverseHitsAndReplaysFactory) {
+  ViewSet views = PathViews(2);
+  ValueFactory start;
+  FrozenQuery frozen = Freeze(ChainQuery(3), start);
+  Instance image = views.Apply(frozen.instance);
+  Instance empty(ChaseSchema(views, frozen.instance.schema()));
+
+  ValueFactory cold_factory = start;
+  Instance cold;
+  {
+    memo::ScopedEnable off(false);
+    cold = ViewInverse(views, empty, image, cold_factory);
+  }
+
+  memo::Store store(64);
+  memo::ScopedEnable on(true, &store);
+  ValueFactory f1 = start;
+  Instance first = ViewInverse(views, empty, image, f1);
+  ValueFactory f2 = start;
+  Instance second = ViewInverse(views, empty, image, f2);
+  EXPECT_EQ(store.Stats().installs, 1u);
+  EXPECT_EQ(store.Stats().hits, 1u);
+  EXPECT_EQ(first, cold);
+  EXPECT_EQ(second, cold);
+  EXPECT_EQ(f1.next_id(), cold_factory.next_id());
+  EXPECT_EQ(f2.next_id(), cold_factory.next_id());
 }
 
 TEST(MemoWiring, RuntimeOffMeansNoStoreTraffic) {
