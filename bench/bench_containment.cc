@@ -100,12 +100,11 @@ void BM_HomChainContainment(benchmark::State& state) {
   // the head pre-bound — a deep, failure-terminated join.
   int n = static_cast<int>(state.range(0));
   memo::ScopedEnable off(false);
-  CqContainmentOptions options;
   ConjunctiveQuery longer = ChainQuery(2 * n);
   ConjunctiveQuery shorter = ChainQuery(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CqContainedIn(longer, shorter, options));
-    benchmark::DoNotOptimize(CqContainedIn(shorter, longer, options));
+    benchmark::DoNotOptimize(CqContainedIn(longer, shorter));
+    benchmark::DoNotOptimize(CqContainedIn(shorter, longer));
   }
   state.counters["atoms"] = static_cast<double>(2 * n);
 }

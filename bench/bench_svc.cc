@@ -5,10 +5,11 @@
 // served wall time over a direct engine call on the same inputs through the
 // same result builders — the price of parsing, admission control, budget
 // wiring, op identity, and serialization.
-// Memoization is off here so both sides pay the real engine cost and the
-// ratio is apples-to-apples. The rejection benchmarks bound the fast-path
-// latency of backpressure: an overloaded client learns its fate in
-// microseconds, not after queueing.
+// The Service constructor turns the process memo switch on; the engine
+// benchmarks turn it back off for their scope (memo::ScopedEnable) so both
+// sides pay the real engine cost and the ratio is apples-to-apples. The
+// rejection benchmarks bound the fast-path latency of backpressure: an
+// overloaded client learns its fate in microseconds, not after queueing.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +21,7 @@
 
 #include "core/determinacy.h"
 #include "guard/budget.h"
+#include "memo/memo.h"
 #include "svc/proto.h"
 #include "svc/service.h"
 
@@ -44,12 +46,6 @@ double SecondsPerRun(const std::function<void()>& run) {
       .count();
 }
 
-ServiceOptions BenchOptions() {
-  ServiceOptions options;
-  options.enable_memo = false;  // both sides pay full engine cost
-  return options;
-}
-
 void BM_SvcParseRequest(benchmark::State& state) {
   for (auto _ : state) {
     StatusOr<Request> req = ParseRequest(kDeterminacyLine);
@@ -60,7 +56,7 @@ BENCHMARK(BM_SvcParseRequest)->Unit(benchmark::kMicrosecond);
 
 void BM_SvcHandleHealth(benchmark::State& state) {
   // Inline control op: the dispatch floor with no admission.
-  Service service(BenchOptions());
+  Service service;
   for (auto _ : state) {
     std::string r = service.HandleLine("{\"op\":\"health\"}");
     benchmark::DoNotOptimize(r);
@@ -69,7 +65,8 @@ void BM_SvcHandleHealth(benchmark::State& state) {
 BENCHMARK(BM_SvcHandleHealth)->Unit(benchmark::kMicrosecond);
 
 void BM_SvcHandleDeterminacy(benchmark::State& state) {
-  Service service(BenchOptions());
+  Service service;
+  memo::ScopedEnable off(false);
 
   // Direct engine reference on the same inputs through the same builders.
   Scenario sc;
@@ -115,7 +112,8 @@ void BM_SvcHandleDeterminacy(benchmark::State& state) {
 BENCHMARK(BM_SvcHandleDeterminacy)->Unit(benchmark::kMicrosecond);
 
 void BM_SvcHandleContainment(benchmark::State& state) {
-  Service service(BenchOptions());
+  Service service;
+  memo::ScopedEnable off(false);
   for (auto _ : state) {
     std::string r = service.HandleLine(kContainmentLine);
     benchmark::DoNotOptimize(r);
@@ -135,7 +133,8 @@ void BM_SvcHandleBatch(benchmark::State& state) {
         "\"query\":\"Q(x,z) :- E(x,y), E(y,z)\"}";
   }
   line += "]}";
-  Service service(BenchOptions());
+  Service service;
+  memo::ScopedEnable off(false);
   for (auto _ : state) {
     std::string r = service.HandleLine(line);
     benchmark::DoNotOptimize(r);
@@ -148,7 +147,7 @@ BENCHMARK(BM_SvcHandleBatch)->Arg(1)->Arg(4)->Arg(16)
 void BM_SvcOverloadRejection(benchmark::State& state) {
   // queue_limit 0: every engine request takes the structured-rejection fast
   // path. This is the latency a client sees under saturation.
-  ServiceOptions options = BenchOptions();
+  ServiceOptions options;
   options.queue_limit = 0;
   Service service(options);
   for (auto _ : state) {
@@ -160,7 +159,7 @@ BENCHMARK(BM_SvcOverloadRejection)->Unit(benchmark::kMicrosecond);
 
 void BM_SvcBadRequestRejection(benchmark::State& state) {
   // Malformed frame: parse failure to structured bad_request, no admission.
-  Service service(BenchOptions());
+  Service service;
   for (auto _ : state) {
     std::string r = service.HandleLine("{\"op\":");
     benchmark::DoNotOptimize(r);

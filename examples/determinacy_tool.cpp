@@ -39,6 +39,7 @@
 #include "obs/profile.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "svc/service.h"
 
 using namespace vqdr;
 
@@ -88,10 +89,9 @@ int main(int argc, char** argv) {
     in = &file;
   }
 
-  NamePool pool;
-  Schema base;
-  ViewSet views;
-  std::optional<ConjunctiveQuery> query;
+  std::string schema;
+  std::vector<std::string> view_rules;
+  std::string query_rule;
   int bound = 2;
 
   std::string line;
@@ -105,29 +105,11 @@ int main(int argc, char** argv) {
     };
 
     if (StartsWith(text, "schema ")) {
-      for (const std::string& piece : Split(text.substr(7), ' ')) {
-        std::string_view decl = StripWhitespace(piece);
-        if (decl.empty()) continue;
-        std::size_t slash = decl.find('/');
-        if (slash == std::string_view::npos) {
-          return err("schema entries look like Name/arity");
-        }
-        base.Add(std::string(decl.substr(0, slash)),
-                 std::atoi(std::string(decl.substr(slash + 1)).c_str()));
-      }
+      schema.append(text.substr(7)).push_back(' ');
     } else if (StartsWith(text, "view ")) {
-      auto q = ParseCq(text.substr(5), pool);
-      if (!q.ok()) return err(q.status().message());
-      if (!q->IsPureCq()) {
-        return err("the analysis battery requires pure CQ views");
-      }
-      std::string name = q->head_name();
-      views.Add(std::move(name), Query::FromCq(std::move(q).value()));
+      view_rules.emplace_back(text.substr(5));
     } else if (StartsWith(text, "query ")) {
-      auto q = ParseCq(text.substr(6), pool);
-      if (!q.ok()) return err(q.status().message());
-      if (!q->IsPureCq()) return err("the query must be a pure CQ");
-      query = std::move(q).value();
+      query_rule = std::string(text.substr(6));
     } else if (StartsWith(text, "bound ")) {
       bound = std::atoi(std::string(text.substr(6)).c_str());
       if (bound < 1 || bound > 4) return err("bound must be 1..4");
@@ -136,12 +118,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!query.has_value()) return Fail("no query given");
-  if (views.empty()) return Fail("no views given");
-  if (base.decls().empty()) base = query->BodySchema();
+  // The service's scenario builder: it rejects what the engines would abort
+  // on (bad arities, unsafe rules, duplicate view names).
+  svc::Scenario sc;
+  if (Status s = svc::BuildScenario(schema, view_rules, query_rule, &sc);
+      !s.ok()) {
+    return Fail(s.message());
+  }
+  if (!sc.query.has_value()) return Fail("no query given");
+  if (sc.views.empty()) return Fail("no views given");
+  const NamePool& pool = sc.pool;
+  const ViewSet& views = sc.views;
+  const ConjunctiveQuery& query = *sc.query;
 
-  std::cout << "schema: " << base.ToString() << "\nviews:\n"
-            << views.ToString() << "query: " << CqToString(*query, pool)
+  std::cout << "schema: " << sc.schema.ToString() << "\nviews:\n"
+            << views.ToString() << "query: " << CqToString(query, pool)
             << "\n\n";
 
   if (want_profile) {
@@ -156,7 +147,7 @@ int main(int argc, char** argv) {
   DeterminacyAnalysisOptions opts;
   opts.search.domain_size = bound;
   opts.explain = want_explain;
-  DeterminacyReport report = AnalyzeDeterminacy(views, *query, base, opts);
+  DeterminacyReport report = AnalyzeDeterminacy(views, query, sc.schema, opts);
   std::cout << report.Summary() << "\n";
 
   if (report.rewriting.has_value()) {

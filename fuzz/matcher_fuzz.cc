@@ -1,14 +1,15 @@
 // libFuzzer harness for the homomorphism matcher (cq/matcher.h): decodes
-// the input bytes into a (query, instance, MatcherOptions) triple and runs
-// the indexed engine against the naive backtracking oracle
-// (tests/matcher_oracle.h), trapping on any divergence. The decoder is
-// byte-oriented (no text parser in the loop) so coverage lands in the join
-// machinery, not the grammar.
+// the input bytes into a (query, instance) pair and runs the indexed engine
+// against the naive backtracking oracle (tests/matcher_oracle.h), trapping
+// on any divergence. The decoder is byte-oriented (no text parser in the
+// loop) so coverage lands in the join machinery, not the grammar.
 //
-// The full match SEQUENCES must be identical under every combination of
-// the pruning toggles (the order-preservation contract of DESIGN.md §12),
-// and every reported binding is independently checked to be a homomorphism
-// (each atom's image is a fact of the instance).
+// The full match SEQUENCES must be identical (the order-preservation
+// contract of DESIGN.md §12), and every reported binding is independently
+// checked to be a homomorphism (each atom's image is a fact of the
+// instance). The first input byte is read and ignored: the checked-in
+// corpus starts every input with a config byte, and skipping it keeps each
+// input decoding to the same query and instance.
 //
 // Built two ways by fuzz/CMakeLists.txt:
 //   * fuzz_matcher (Clang + -fsanitize=fuzzer): coverage-guided run;
@@ -32,7 +33,6 @@ namespace {
 using vqdr::Atom;
 using vqdr::Binding;
 using vqdr::Instance;
-using vqdr::MatcherOptions;
 using vqdr::Schema;
 using vqdr::Term;
 using vqdr::Tuple;
@@ -117,46 +117,39 @@ struct EnumerationResult {
   bool completed = false;
 };
 
-// Collects matches until kMaxMatches; `options` selects the indexed engine's
-// pruning toggles, and nullptr runs the oracle instead. The indexed engine's
-// slot view is recorded through its ToBinding() map.
+// Collects matches until kMaxMatches from the indexed engine, or from the
+// oracle when `oracle` is set. The indexed engine's slot view is recorded
+// through its ToBinding() map.
 EnumerationResult Enumerate(const std::vector<Atom>& atoms, const Instance& db,
-                            const MatcherOptions* options) {
+                            bool oracle) {
   EnumerationResult result;
   auto collect = [&result](const Binding& b) {
     result.matches.push_back(b);
     return result.matches.size() < kMaxMatches;
   };
   result.completed =
-      options != nullptr
-          ? vqdr::ForEachMatch(
-                atoms, db, Binding{},
-                [&collect](const vqdr::Match& m) {
-                  return collect(m.ToBinding());
-                },
-                nullptr, *options)
-          : vqdr::oracle::ForEachMatch(atoms, db, Binding{}, collect);
+      oracle ? vqdr::oracle::ForEachMatch(atoms, db, Binding{}, collect)
+             : vqdr::ForEachMatch(atoms, db, Binding{},
+                                  [&collect](const vqdr::Match& m) {
+                                    return collect(m.ToBinding());
+                                  });
   return result;
 }
 
 void FuzzMatcher(const std::uint8_t* data, std::size_t size) {
   Cursor in{data, size};
-  std::uint8_t config = in.Next();
+  in.Next();  // the corpus's config byte, ignored
 
   std::vector<Atom> atoms = DecodeAtoms(in);
   Instance db = DecodeInstance(in);
 
-  MatcherOptions tested;
-  tested.forward_checking = (config & 1) != 0;
-  tested.conflict_backjumping = (config & 2) != 0;
-  tested.symmetry_breaking = (config & 4) != 0;
-  EnumerationResult got = Enumerate(atoms, db, &tested);
+  EnumerationResult got = Enumerate(atoms, db, /*oracle=*/false);
 
   for (const Binding& b : got.matches) {
     if (!IsHomomorphism(atoms, db, b)) __builtin_trap();
   }
 
-  EnumerationResult want = Enumerate(atoms, db, nullptr);
+  EnumerationResult want = Enumerate(atoms, db, /*oracle=*/true);
 
   if (got.completed != want.completed) __builtin_trap();
   if (got.matches != want.matches) __builtin_trap();

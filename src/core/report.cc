@@ -75,16 +75,14 @@ DeterminacyReport AnalyzeDeterminacyImpl(
     report.verdict = DeterminacyVerdict::kDeterminedWithRewriting;
     CqRewritingResult rewriting = FindCqRewriting(views, q);
     if (rewriting.exists) report.rewriting = rewriting.rewriting;
-    if (opts.probe_monotonicity) {
-      MonotonicitySearchResult probe = SearchMonotonicityViolation(
-          views, Query::FromCq(q), base, search_opts);
-      if (probe.verdict == SearchVerdict::kCounterexampleFound) {
-        report.monotonicity_violation = probe.violation;
-      }
-      if (probe.verdict == SearchVerdict::kBudgetExhausted) {
-        report.searches_exhaustive = false;
-        report.outcome = guard::MergeOutcome(report.outcome, probe.outcome);
-      }
+    MonotonicitySearchResult probe = SearchMonotonicityViolation(
+        views, Query::FromCq(q), base, search_opts);
+    if (probe.verdict == SearchVerdict::kCounterexampleFound) {
+      report.monotonicity_violation = probe.violation;
+    }
+    if (probe.verdict == SearchVerdict::kBudgetExhausted) {
+      report.searches_exhaustive = false;
+      report.outcome = guard::MergeOutcome(report.outcome, probe.outcome);
     }
     return report;
   }

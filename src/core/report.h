@@ -31,11 +31,10 @@ enum class DeterminacyVerdict {
 
 /// Options for the battery.
 struct DeterminacyAnalysisOptions {
-  /// Bound for the counterexample search.
+  /// Bound for the counterexample search, and for the Q_V monotonicity
+  /// probe the battery runs when determinacy holds (Theorem 5.11(3)
+  /// evidence).
   EnumerationOptions search;
-  /// Also probe Q_V monotonicity when determinacy holds on the searched
-  /// fragment (Theorem 5.11(3) evidence).
-  bool probe_monotonicity = true;
   /// Optional resource budget: one envelope over the whole battery (chase
   /// decision, searches, probes). Takes effect everywhere search.budget
   /// would and in the chase decision too; when both are set, this one wins.

@@ -110,14 +110,12 @@ ConjunctiveQuery MinimizeRewriting(const ConjunctiveQuery& rewriting,
 }  // namespace
 
 CqRewritingResult FindCqRewriting(const ViewSet& views,
-                                  const ConjunctiveQuery& q, bool minimize) {
+                                  const ConjunctiveQuery& q) {
   CqRewritingResult result;
   UnrestrictedDeterminacyResult det = DecideUnrestrictedDeterminacy(views, q);
   if (!det.determined) return result;  // no equivalent rewriting exists
   result.exists = true;
-  ConjunctiveQuery canonical = *det.canonical_rewriting;
-  result.rewriting =
-      minimize ? MinimizeRewriting(canonical, views, q) : canonical;
+  result.rewriting = MinimizeRewriting(*det.canonical_rewriting, views, q);
   return result;
 }
 

@@ -27,15 +27,16 @@ UnionQuery ExpandUcqRewriting(const UnionQuery& r, const ViewSet& views);
 /// V_∅^{-1}(S), so Q_V works whenever anything does). Since finite and
 /// unrestricted CQ equivalence coincide, the result serves both settings —
 /// and by Theorem 3.3, existence is *equivalent* to unrestricted
-/// determinacy.
+/// determinacy. The rewriting returned is Q_V, minimised by dropping view
+/// atoms while its expansion stays equivalent to Q. The bare decision is
+/// DecideUnrestrictedDeterminacy (core/determinacy.h).
 struct CqRewritingResult {
   bool exists = false;
   /// A minimised equivalent rewriting (present iff exists).
   std::optional<ConjunctiveQuery> rewriting;
 };
 CqRewritingResult FindCqRewriting(const ViewSet& views,
-                                  const ConjunctiveQuery& q,
-                                  bool minimize = true);
+                                  const ConjunctiveQuery& q);
 
 /// Equivalent UCQ rewriting of a UCQ query over CQ views ([22], Thm 3.9):
 /// the canonical per-disjunct rewritings work iff any UCQ rewriting does.

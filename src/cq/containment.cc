@@ -375,20 +375,13 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
       compute, CachedVerdict, CacheableVerdict);
 }
 
-// The bool overloads require completion: they run their governed twin with
-// no budget, where only a captured exception leaves no definitive answer.
-bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
-                   const CqContainmentOptions& options) {
-  CqContainmentOptions ungoverned = options;
-  ungoverned.budget = nullptr;
-  ContainmentResult r = CqContainedInGoverned(q1, q2, ungoverned);
+// The bool forms require completion: they run their governed twin with no
+// budget, where only a captured exception leaves no definitive answer.
+bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
+  ContainmentResult r = CqContainedInGoverned(q1, q2, CqContainmentOptions{});
   VQDR_CHECK(!r.contained || guard::IsComplete(r.outcome))
       << "canonical-database sweep failed internally";
   return r.contained;
-}
-
-bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
-  return CqContainedIn(q1, q2, CqContainmentOptions{});
 }
 
 bool CqEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
@@ -461,18 +454,12 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
       compute, CachedVerdict, CacheableVerdict);
 }
 
-bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
-                    const CqContainmentOptions& options) {
-  CqContainmentOptions ungoverned = options;
-  ungoverned.budget = nullptr;
-  ContainmentResult r = UcqContainedInGoverned(q1, q2, ungoverned);
+bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2) {
+  ContainmentResult r =
+      UcqContainedInGoverned(q1, q2, CqContainmentOptions{});
   VQDR_CHECK(!r.contained || guard::IsComplete(r.outcome))
       << "canonical-database sweep failed internally";
   return r.contained;
-}
-
-bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2) {
-  return UcqContainedIn(q1, q2, CqContainmentOptions{});
 }
 
 bool UcqEquivalent(const UnionQuery& q1, const UnionQuery& q2) {

@@ -22,8 +22,8 @@ namespace vqdr {
 struct CqContainmentOptions {
   /// Optional resource budget: one step per identification pattern, plus a
   /// poll per matcher backtracking node inside each pattern check. Only the
-  /// *Governed entry points honour it; the bool APIs run their governed
-  /// twin without it and require completion.
+  /// *Governed entry points take options; the bool forms run their governed
+  /// twin with default options and require completion.
   guard::Budget* budget = nullptr;
 
   /// Optional decision-provenance sink (DESIGN.md §10). When non-null,
@@ -61,8 +61,6 @@ struct ContainmentResult {
 /// For (U)CQ(≠), finite and unrestricted containment coincide, so a single
 /// routine serves both settings.
 bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
-bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
-                   const CqContainmentOptions& options);
 
 /// Governed CQ(≠) containment: honours options.budget and reports a
 /// structured outcome instead of requiring the sweep to finish.
@@ -76,8 +74,6 @@ bool CqEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 /// UCQ containment (Sagiv–Yannakakis): Q1 ⊆ Q2 iff every canonical instance
 /// of every disjunct of Q1 satisfies Q2.
 bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2);
-bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
-                    const CqContainmentOptions& options);
 
 /// Governed UCQ containment; see CqContainedInGoverned.
 ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,

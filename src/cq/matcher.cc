@@ -70,13 +70,6 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
                   const std::function<bool(const Match&)>& on_match,
                   guard::Budget* budget) {
-  return ForEachMatch(atoms, db, initial, on_match, budget, MatcherOptions{});
-}
-
-bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
-                  const Binding& initial,
-                  const std::function<bool(const Match&)>& on_match,
-                  guard::Budget* budget, const MatcherOptions& options) {
   for (const Atom& atom : atoms) {
     // A predicate missing from the database schema denotes an empty
     // relation: the conjunction has no matches.
@@ -89,8 +82,7 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
   VQDR_TRACE_SPAN("cq.match", static_cast<std::int64_t>(atoms.size()));
   matcher_internal::MatchStats stats;
   bool completed = matcher_internal::IndexedMatch(atoms, db, initial,
-                                                  on_match, stats, budget,
-                                                  options);
+                                                  on_match, stats, budget);
   VQDR_COUNTER_ADD("cq.hom.attempts", stats.attempts);
   VQDR_COUNTER_ADD("cq.hom.matches", stats.matches);
   if (stats.index_builds) {

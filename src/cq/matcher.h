@@ -46,23 +46,6 @@ class Match {
   const std::vector<Value>* values_;
 };
 
-/// Per-call knobs for the indexed-join homomorphism search (DESIGN.md §12).
-/// The pruning toggles exist for differential testing and benchmarks; all of
-/// them are solution-set- and order-preserving, so flipping them never
-/// changes observable results.
-struct MatcherOptions {
-  /// Prune a candidate when some unmatched atom's candidate domain becomes
-  /// empty under the extended binding.
-  bool forward_checking = true;
-  /// On a failed level whose conflict set excludes the current level, skip
-  /// the remaining candidates at this level (they fail identically).
-  bool conflict_backjumping = true;
-  /// Skip a candidate tuple when a symmetric tuple (equal up to an
-  /// interchange-class automorphism of the target instance, seeded from the
-  /// WL value coloring) already failed at this level.
-  bool symmetry_breaking = true;
-};
-
 /// Enumerates every assignment of the variables of `atoms` extending
 /// `initial` under which each atom's image is a fact of `db` (i.e. every
 /// homomorphism from the atom set into `db`). Invokes `on_match` per match;
@@ -72,6 +55,12 @@ struct MatcherOptions {
 /// This single routine powers CQ evaluation, homomorphism search between
 /// instances, containment tests, the chase and Datalog rule application.
 ///
+/// The search is an indexed join (DESIGN.md §12) that always forward-checks,
+/// backjumps on conflicts (for up to 64 atoms) and breaks value symmetry.
+/// Each pruning rule drops only subtrees with no homomorphism, so the
+/// matches arrive in the order of the naive backtracking oracle in
+/// tests/matcher_oracle.h.
+///
 /// `budget`, when non-null, is polled once per backtracking node (one step
 /// per node), so a deadline or cancellation lands promptly even when the
 /// join is exponential. A stopped budget aborts the enumeration with a
@@ -80,13 +69,6 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
                   const std::function<bool(const Match&)>& on_match,
                   guard::Budget* budget = nullptr);
-
-/// Pruning-toggle overload; the default-argument form above routes here
-/// with MatcherOptions{}.
-bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
-                  const Binding& initial,
-                  const std::function<bool(const Match&)>& on_match,
-                  guard::Budget* budget, const MatcherOptions& options);
 
 /// The non-join part of a query or rule body — head terms, disequalities and
 /// negated atoms — compiled to the slots of one ForEachMatch call. Build it

@@ -42,8 +42,7 @@ struct MatchStats {
 bool IndexedMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
                   const std::function<bool(const Match&)>& on_match,
-                  MatchStats& stats, guard::Budget* budget,
-                  const MatcherOptions& options);
+                  MatchStats& stats, guard::Budget* budget);
 
 }  // namespace vqdr::matcher_internal
 

@@ -196,17 +196,14 @@ class Engine {
   Engine(const std::vector<Atom>& atoms, const Instance& db,
          const Binding& initial,
          const std::function<bool(const Match&)>& on_match,
-         MatchStats& stats, guard::Budget* budget,
-         const MatcherOptions& options)
+         MatchStats& stats, guard::Budget* budget)
       : atoms_(atoms),
         db_(db),
         on_match_(on_match),
         stats_(stats),
         budget_(budget),
         n_(static_cast<int>(atoms.size())),
-        fc_(options.forward_checking),
-        cbj_(options.conflict_backjumping && atoms.size() <= 64),
-        sym_wanted_(options.symmetry_breaking) {
+        cbj_(atoms.size() <= 64) {
     BuildRelations();
     BuildVariables(initial);
     BuildAtomInfos();
@@ -435,7 +432,6 @@ class Engine {
   // on first use; on failure (too big, no symmetry) disables the feature for
   // the rest of the call.
   bool SymReady() {
-    if (!sym_wanted_) return false;
     if (sym_state_ == 0) {
       if (refuted_ < kSymMinRefuted) return false;
       BuildSymClasses();
@@ -700,7 +696,7 @@ class Engine {
           }
         }
         BindCandidate(best, tuple, depth, lv);
-        if (fc_ && !ForwardCheck(depth, lv, &cs)) {
+        if (!ForwardCheck(depth, lv, &cs)) {
           UnbindCandidate(lv);
           NoteRefuted(best, tuple, lv);
           continue;
@@ -741,9 +737,8 @@ class Engine {
   MatchStats& stats_;
   guard::Budget* budget_;
   const int n_;
-  const bool fc_;
+  // Backjumping tracks conflict sets in a 64-bit mask, one bit per level.
   const bool cbj_;
-  const bool sym_wanted_;
 
   std::vector<std::string> rel_names_;
   std::vector<RelInfo> rels_;
@@ -778,9 +773,8 @@ class Engine {
 bool IndexedMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
                   const std::function<bool(const Match&)>& on_match,
-                  MatchStats& stats, guard::Budget* budget,
-                  const MatcherOptions& options) {
-  Engine engine(atoms, db, initial, on_match, stats, budget, options);
+                  MatchStats& stats, guard::Budget* budget) {
+  Engine engine(atoms, db, initial, on_match, stats, budget);
   return engine.Run();
 }
 

@@ -18,9 +18,9 @@
 //     tightened against it (TightenSpec: the tightest limit wins), so no
 //     tenant can buy more work than its class allows;
 //   * a concurrency limit — TryAcquire/Release slot accounting the admission
-//     gate consults before a request ever reaches the dispatch queue;
-//   * a backpressure hint — the retry_after_ms a structured `overloaded`
-//     rejection carries back to the client.
+//     gate consults before a request ever reaches the dispatch queue.
+//
+// The retry hint a rejection carries is the service's, one for every class.
 
 namespace vqdr::guard {
 
@@ -38,9 +38,6 @@ struct BudgetClassSpec {
 
   /// Requests of this class admitted concurrently. 0 = unlimited.
   int max_concurrent = 0;
-
-  /// Backpressure hint carried by `overloaded` rejections of this class.
-  std::uint64_t retry_after_ms = 25;
 };
 
 /// One live class: its spec plus in-flight slot accounting. Thread-safe.

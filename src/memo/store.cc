@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
 
 #include "base/check.h"
@@ -46,29 +45,21 @@ std::size_t ParseCapacityEnvValue(const char* raw) {
   return static_cast<std::size_t>(ParseEnvUint(raw, SIZE_MAX).value_or(0));
 }
 
-Store::Store(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      shard_count_(shards == 0 ? 1 : shards) {
-  if (shard_count_ > capacity_) shard_count_ = capacity_;
-  shards_ = std::make_unique<Shard[]>(shard_count_);
-}
-
-Store::Shard& Store::ShardFor(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % shard_count_];
+Store::Store(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
+  counts_.capacity = capacity_;
 }
 
 std::shared_ptr<const void> Store::GetErased(const std::string& key,
                                              const std::type_info& type) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end() || *it->second.type != type) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end() || *it->second.type != type) {
+    ++counts_.misses;
     VQDR_COUNTER_INC("memo.misses");
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  ++counts_.hits;
   VQDR_COUNTER_INC("memo.hits");
   return it->second.value;
 }
@@ -77,10 +68,9 @@ void Store::PutErased(const std::string& key,
                       std::shared_ptr<const void> value,
                       const std::type_info& type) {
   VQDR_CHECK(value != nullptr) << "memo::Store::Put: null value";
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it != map_.end()) {
     if (*it->second.type == type) {
       // First install wins; the keying discipline guarantees any concurrent
       // computation of the same key produced an equivalent value.
@@ -93,79 +83,56 @@ void Store::PutErased(const std::string& key,
     // alive through any outstanding shared_ptr.
     it->second.value = std::move(value);
     it->second.type = &type;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    installs_.fetch_add(1, std::memory_order_relaxed);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    ++counts_.installs;
     VQDR_COUNTER_INC("memo.installs");
     VQDR_COUNTER_INC("memo.type_replacements");
     return;
   }
-  // Capacity is a global bound: evict from this shard's LRU tail until the
-  // whole store has room (an unlucky hash may leave this shard empty while
-  // others are full — then we insert anyway, a transient overshoot of at
-  // most shard_count_ - 1 under concurrency).
-  while (total_entries_.load(std::memory_order_relaxed) >= capacity_ &&
-         !shard.lru.empty()) {
-    const std::string& victim = shard.lru.back();
-    shard.map.erase(victim);
-    shard.lru.pop_back();
-    total_entries_.fetch_sub(1, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  if (map_.size() >= capacity_) {
+    map_.erase(lru_.back());
+    lru_.pop_back();
+    ++counts_.evictions;
     VQDR_COUNTER_INC("memo.evictions");
   }
-  shard.lru.push_front(key);
+  lru_.push_front(key);
   Entry entry;
   entry.value = std::move(value);
   entry.type = &type;
-  entry.lru_it = shard.lru.begin();
-  shard.map.emplace(key, std::move(entry));
-  total_entries_.fetch_add(1, std::memory_order_relaxed);
-  installs_.fetch_add(1, std::memory_order_relaxed);
+  entry.lru_it = lru_.begin();
+  map_.emplace(key, std::move(entry));
+  ++counts_.installs;
   VQDR_COUNTER_INC("memo.installs");
 }
 
 std::vector<Store::ErasedEntry> Store::ExportEntries() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<ErasedEntry> out;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    const Shard& shard = shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Walk the LRU list back to front so the export is oldest-first.
-    for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-      auto entry = shard.map.find(*it);
-      if (entry == shard.map.end()) continue;
-      out.push_back({entry->first, entry->second.value, entry->second.type});
-    }
+  out.reserve(map_.size());
+  // Walk the LRU list back to front so the export is oldest-first.
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    const Entry& entry = map_.at(*it);
+    out.push_back({*it, entry.value, entry.type});
   }
   return out;
 }
 
 StatsSnapshot Store::Stats() const {
-  StatsSnapshot s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.installs = installs_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.entries = size();
-  s.capacity = capacity_;
+  std::lock_guard<std::mutex> lock(mu_);
+  StatsSnapshot s = counts_;
+  s.entries = map_.size();
   return s;
 }
 
 void Store::Clear() {
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total_entries_.fetch_sub(shards_[i].map.size(),
-                             std::memory_order_relaxed);
-    shards_[i].map.clear();
-    shards_[i].lru.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  map_.clear();
+  lru_.clear();
 }
 
 std::size_t Store::size() const {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total += shards_[i].map.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }

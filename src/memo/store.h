@@ -1,7 +1,6 @@
 #ifndef VQDR_MEMO_STORE_H_
 #define VQDR_MEMO_STORE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <list>
 #include <memory>
@@ -16,8 +15,8 @@
 
 namespace vqdr::memo {
 
-/// Sharded, thread-safe, size-bounded (per-shard LRU) map from string keys to
-/// immutable type-erased values.
+/// Thread-safe, size-bounded LRU map from string keys to immutable
+/// type-erased values: one mutex over one key map and one recency list.
 ///
 /// Design notes:
 ///  - Values are stored as shared_ptr<const void> plus their type_info, so one
@@ -31,15 +30,12 @@ namespace vqdr::memo {
 ///    dropped. A Put under an existing key with a *different* type replaces
 ///    the entry — leaving it would poison the slot forever (every Get of
 ///    either type misses while every Put is dropped).
-///  - Capacity is accounted globally (effective capacity >= requested, never
-///    floored away by sharding); eviction is least-recently-used within the
-///    inserting shard. Concurrent inserts into distinct shards may transiently
-///    overshoot the bound by at most shard_count - 1 entries.
+///  - The store never holds more than `capacity` entries: an insert that
+///    would exceed it first evicts the least-recently-used entry of the whole
+///    store.
 class Store {
  public:
-  static constexpr std::size_t kDefaultShards = 8;
-
-  explicit Store(std::size_t capacity, std::size_t shards = kDefaultShards);
+  explicit Store(std::size_t capacity);
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
@@ -71,9 +67,9 @@ class Store {
     const std::type_info* type = nullptr;
   };
 
-  /// A consistent-per-shard copy of every entry, ordered least-recently-used
-  /// first within each shard — re-installing in this order reproduces the
-  /// recency order, so a restored store evicts the same victims.
+  /// A consistent copy of every entry, least-recently-used first —
+  /// re-installing in this order reproduces the recency order, so a restored
+  /// store evicts the same victims.
   std::vector<ErasedEntry> ExportEntries() const;
 
   /// Snapshot-restore entry point: same semantics as Put (first install wins
@@ -90,33 +86,19 @@ class Store {
     const std::type_info* type = nullptr;
     std::list<std::string>::iterator lru_it;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Entry> map;
-    // Front = most recently used; holds the same keys as `map`.
-    std::list<std::string> lru;
-  };
 
   std::shared_ptr<const void> GetErased(const std::string& key,
                                         const std::type_info& type);
   void PutErased(const std::string& key, std::shared_ptr<const void> value,
                  const std::type_info& type);
-  Shard& ShardFor(const std::string& key);
 
   std::size_t capacity_;
-  std::size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
-
-  // Global entry count for the capacity bound; relaxed is fine because every
-  // mutation happens under some shard lock and the bound tolerates the
-  // documented transient overshoot.
-  std::atomic<std::size_t> total_entries_{0};
-
-  // Global monotone counters, relaxed: Stats() is a diagnostic snapshot.
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> installs_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Entry> map_;
+  // Front = most recently used; holds the same keys as `map_`.
+  std::list<std::string> lru_;
+  // Monotone counters, guarded by `mu_` like the entries they count.
+  StatsSnapshot counts_;
 };
 
 /// Parses a VQDR_MEMO_CAPACITY value through ParseEnvUint (base/env.h).

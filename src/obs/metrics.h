@@ -18,7 +18,6 @@
 //   cq.*          evaluation / containment machinery
 //   chase.*       view-inverse chase and Theorem 3.3 chains
 //   search.*      bounded finite-counterexample searches
-//   rewrite.*     rewriting synthesis and the LMSS-style reference rewriter
 //
 // Hot paths report through the VQDR_COUNTER_* / VQDR_HISTOGRAM_RECORD macros
 // (see obs/obs_macros.h), which cache the registry entry per call site.

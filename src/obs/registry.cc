@@ -341,6 +341,22 @@ OpSnapshot SnapshotOp(OpId id) {
   return {};
 }
 
+bool CancelOp(OpId id) {
+  RegState& r = RegState::Get();
+  std::lock_guard<std::mutex> lock(r.mu);
+  for (internal::OpSlot* slot = r.head; slot != nullptr;
+       slot = slot->reg_next) {
+    if (slot->id != id) continue;
+    // UnregisterOp nulls the budget under this mutex, so a non-null budget
+    // is still owned by its live scope.
+    vqdr::guard::Budget* budget = slot->budget.load(std::memory_order_relaxed);
+    if (budget == nullptr) return false;
+    budget->Cancel();
+    return true;
+  }
+  return false;
+}
+
 std::vector<ThreadStackSnapshot> SnapshotThreadStacks() {
   RegState& r = RegState::Get();
   std::lock_guard<std::mutex> lock(r.mu);

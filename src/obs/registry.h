@@ -61,6 +61,12 @@ std::vector<OpSnapshot> SnapshotOps();
 /// such op is live.
 OpSnapshot SnapshotOp(OpId id);
 
+/// Cancels the budget of the in-flight op `id` (guard::Budget::Cancel).
+/// Returns false when no such op is live or the op is ungoverned. The
+/// budget is read under the registry mutex, which the op's scope also takes
+/// to detach it, so a cancel never reaches a budget whose scope has ended.
+bool CancelOp(OpId id);
+
 /// Live span stacks of every running thread that has opened a span or bound
 /// an op, ordered by dense trace tid. Threads currently outside any span
 /// report an empty stack; exited threads are not listed.

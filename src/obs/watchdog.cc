@@ -1,5 +1,6 @@
 #include "obs/watchdog.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -176,15 +177,9 @@ std::string StallReport::ToJson() const {
   return out;
 }
 
-bool StartWatchdog(std::uint64_t stall_ms, std::uint64_t poll_ms) {
-  if (stall_ms == 0 || stall_ms > kMaxWaitMs || poll_ms > kMaxWaitMs) {
-    return false;
-  }
-  if (poll_ms == 0) {
-    poll_ms = stall_ms / 4;
-    if (poll_ms < 10) poll_ms = 10;
-    if (poll_ms > 1000) poll_ms = 1000;
-  }
+bool StartWatchdog(std::uint64_t stall_ms) {
+  if (stall_ms == 0 || stall_ms > kMaxWaitMs) return false;
+  std::uint64_t poll_ms = std::clamp<std::uint64_t>(stall_ms / 4, 10, 1000);
   WatchdogState& w = WatchdogState::Get();
   std::lock_guard<std::mutex> lock(w.mu);
   if (w.running) return false;

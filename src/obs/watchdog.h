@@ -45,11 +45,10 @@ struct StallReport {
 };
 
 /// Starts the watchdog (idempotent; false if already running, if stall_ms
-/// is 0, or if either period exceeds kMaxWaitMs from base/env.h). `poll_ms`
-/// is the sampling period; 0 picks stall_ms/4, clamped to [10ms, 1s].
-/// Reports go to the stall callback when one is set, otherwise to stderr as
-/// one JSON line.
-bool StartWatchdog(std::uint64_t stall_ms, std::uint64_t poll_ms = 0);
+/// is 0, or if it exceeds kMaxWaitMs from base/env.h). It samples the
+/// registry every stall_ms/4, clamped to [10ms, 1s]. Reports go to the stall
+/// callback when one is set, otherwise to stderr as one JSON line.
+bool StartWatchdog(std::uint64_t stall_ms);
 
 /// Stops and joins the watchdog thread if running.
 void StopWatchdog();

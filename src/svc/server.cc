@@ -15,6 +15,9 @@ namespace vqdr::svc {
 
 namespace {
 
+// Pending connections the kernel queues for the accept thread.
+constexpr int kListenBacklog = 64;
+
 /// Polls fd for readability in slices so `stopping` is honoured promptly.
 /// Returns 1 readable, 0 idle-timeout, -1 error/stop.
 int PollRead(int fd, std::uint64_t idle_timeout_ms,
@@ -92,7 +95,7 @@ Status Server::Start() {
     return Status::Internal("bind(" + options_.socket_path +
                             ") failed: " + std::strerror(errno));
   }
-  if (::listen(listen_fd_, options_.backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Status::Internal("listen() failed");

@@ -47,8 +47,6 @@ struct ServerOptions {
   /// How long Shutdown() waits for in-flight requests before closing
   /// connections anyway.
   std::uint64_t drain_timeout_ms = 10000;
-
-  int backlog = 64;
 };
 
 class Server {

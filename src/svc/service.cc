@@ -23,6 +23,38 @@ namespace vqdr::svc {
 
 namespace {
 
+// The backpressure hint of every "overloaded" and "draining" rejection.
+constexpr std::uint64_t kRetryAfterMs = 25;
+
+// What the engines VQDR_CHECK about their input queries, checked up front so
+// an ill-formed request is a bad_request instead of a process abort: every
+// query is safe, and each relation has one arity across `queries` and agrees
+// with `declared` wherever that schema names it.
+Status CheckWellFormed(const std::vector<const ConjunctiveQuery*>& queries,
+                       const Schema& declared) {
+  Schema seen = declared;
+  for (const ConjunctiveQuery* q : queries) {
+    if (!q->IsSafe()) {
+      return Status::InvalidArgument("unsafe query " + q->head_name() +
+                                     ": every head, disequality and negated "
+                                     "variable must occur in a positive atom");
+    }
+    for (const std::vector<Atom>* atoms : {&q->atoms(), &q->negated_atoms()}) {
+      for (const Atom& atom : *atoms) {
+        std::optional<int> arity = seen.ArityOf(atom.predicate);
+        if (!arity.has_value()) {
+          seen.Add(atom.predicate, atom.arity());
+        } else if (*arity != atom.arity()) {
+          return Status::InvalidArgument(
+              "relation " + atom.predicate + " is used with arity " +
+              std::to_string(atom.arity()) + " and " + std::to_string(*arity));
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 Response OkResponse(guard::Outcome outcome, std::string result_json) {
   Response r;
   r.has_outcome = true;
@@ -75,6 +107,11 @@ Status BuildScenario(const std::string& schema,
       return Status::InvalidArgument("views must be pure CQs: " + text);
     }
     std::string name = v->head_name();
+    for (const View& earlier : out->views.views()) {
+      if (earlier.name == name) {
+        return Status::InvalidArgument("duplicate view name: " + name);
+      }
+    }
     out->views.Add(std::move(name), Query::FromCq(std::move(v).value()));
   }
   if (!query.empty()) {
@@ -86,7 +123,13 @@ Status BuildScenario(const std::string& schema,
       return Status::InvalidArgument("the query must be a pure CQ");
     }
     out->query = std::move(q).value();
-    if (out->schema.decls().empty()) out->schema = out->query->BodySchema();
+  }
+  std::vector<const ConjunctiveQuery*> all;
+  for (const View& v : out->views.views()) all.push_back(&v.query.AsCq());
+  if (out->query.has_value()) all.push_back(&*out->query);
+  if (Status s = CheckWellFormed(all, out->schema); !s.ok()) return s;
+  if (out->query.has_value() && out->schema.decls().empty()) {
+    out->schema = out->query->BodySchema();
   }
   return Status::Ok();
 }
@@ -204,26 +247,49 @@ Response HandleContainment(const Request& req, guard::Budget& budget) {
     return ErrorResponse("bad_request",
                          "containment requires \"q1\" and \"q2\"");
   }
-  NamePool pool;
-  CqContainmentOptions options;
-  options.budget = &budget;
-  ContainmentResult result;
-  if (req.kind == "ucq") {
-    StatusOr<UnionQuery> q1 = ParseUcq(req.q1, pool);
-    if (!q1.ok()) return ErrorResponse("parse_error", q1.status().message());
-    StatusOr<UnionQuery> q2 = ParseUcq(req.q2, pool);
-    if (!q2.ok()) return ErrorResponse("parse_error", q2.status().message());
-    result = UcqContainedInGoverned(q1.value(), q2.value(), options);
-  } else if (req.kind.empty() || req.kind == "cq") {
-    StatusOr<ConjunctiveQuery> q1 = ParseCq(req.q1, pool);
-    if (!q1.ok()) return ErrorResponse("parse_error", q1.status().message());
-    StatusOr<ConjunctiveQuery> q2 = ParseCq(req.q2, pool);
-    if (!q2.ok()) return ErrorResponse("parse_error", q2.status().message());
-    result = CqContainedInGoverned(q1.value(), q2.value(), options);
-  } else {
+  const bool ucq = req.kind == "ucq";
+  if (!ucq && !req.kind.empty() && req.kind != "cq") {
     return ErrorResponse("bad_request",
                          "\"kind\" must be \"cq\" or \"ucq\"");
   }
+  NamePool pool;
+  // A CQ operand parses as a one-disjunct union, so both kinds share the
+  // checks; the engine call below takes the kind's own form.
+  std::vector<UnionQuery> operands;
+  for (const std::string* text : {&req.q1, &req.q2}) {
+    if (ucq) {
+      StatusOr<UnionQuery> q = ParseUcq(*text, pool);
+      if (!q.ok()) return ErrorResponse("parse_error", q.status().message());
+      operands.push_back(std::move(q).value());
+    } else {
+      StatusOr<ConjunctiveQuery> q = ParseCq(*text, pool);
+      if (!q.ok()) return ErrorResponse("parse_error", q.status().message());
+      operands.emplace_back(std::move(q).value());
+    }
+  }
+  std::vector<const ConjunctiveQuery*> all;
+  for (const UnionQuery& operand : operands) {
+    for (const ConjunctiveQuery& d : operand.disjuncts()) {
+      if (d.UsesNegation()) {
+        return ErrorResponse("bad_request",
+                             "containment does not support negated atoms");
+      }
+      all.push_back(&d);
+    }
+  }
+  if (operands[0].head_arity() != operands[1].head_arity()) {
+    return ErrorResponse("bad_request",
+                         "containment operands differ in head arity");
+  }
+  if (Status s = CheckWellFormed(all, Schema{}); !s.ok()) {
+    return ErrorResponse("bad_request", s.message());
+  }
+  CqContainmentOptions options;
+  options.budget = &budget;
+  ContainmentResult result =
+      ucq ? UcqContainedInGoverned(operands[0], operands[1], options)
+          : CqContainedInGoverned(operands[0].disjuncts()[0],
+                                  operands[1].disjuncts()[0], options);
   return OkResponse(result.outcome, ContainmentResultJson(result));
 }
 
@@ -319,54 +385,43 @@ Response HandleBatch(const Request& req, guard::Budget& envelope) {
 // ---- service core --------------------------------------------------------
 
 Service::Service(ServiceOptions options) : options_(std::move(options)) {
-  if (options_.enable_memo) memo::SetEnabled(true);
+  memo::SetEnabled(true);
   metrics_baseline_ = obs::SnapshotMetrics();
-  if (options_.enable_memo) {
-    const char* env = std::getenv("VQDR_MEMO_SNAPSHOT");
-    memo_snapshot_path_ = options_.memo_snapshot_path;
-    if (memo_snapshot_path_.empty() && env != nullptr) {
-      memo_snapshot_path_ = env;
+  const char* env = std::getenv("VQDR_MEMO_SNAPSHOT");
+  memo_snapshot_path_ = options_.memo_snapshot_path;
+  if (memo_snapshot_path_.empty() && env != nullptr) {
+    memo_snapshot_path_ = env;
+  }
+  if (!memo_snapshot_path_.empty()) {
+    // The first GlobalStore() touch runs the VQDR_MEMO_SNAPSHOT boot load;
+    // an explicit option path that differs is loaded on top of it.
+    memo::Store& store = memo::GlobalStore();
+    if (env == nullptr || memo_snapshot_path_ != env) {
+      memo::LoadSnapshot(store, memo_snapshot_path_);
     }
-    if (!memo_snapshot_path_.empty()) {
-      // The first GlobalStore() touch runs the VQDR_MEMO_SNAPSHOT boot load;
-      // an explicit option path that differs is loaded on top of it.
-      memo::Store& store = memo::GlobalStore();
-      if (env == nullptr || memo_snapshot_path_ != env) {
-        memo::LoadSnapshot(store, memo_snapshot_path_);
-      }
-      memo_flusher_ = std::make_unique<memo::SnapshotFlusher>(
-          store, memo_snapshot_path_, options_.memo_flush_ms);
-    }
+    memo_flusher_ = std::make_unique<memo::SnapshotFlusher>(
+        store, memo_snapshot_path_, options_.memo_flush_ms);
   }
   RegisterBuiltinOps();
-  if (options_.cancel_stalled) {
-    // The hook fires on the watchdog thread with the stalled op's identity;
-    // cancelling that request's budget makes the handler stop at its next
-    // checkpoint, which completes the response and frees the slot. The
-    // watchdog emits exactly one report per stall; we keep its JSON line.
-    obs::SetStallCallback([this](const obs::StallReport& report) {
-      std::shared_ptr<guard::Budget> budget;
-      {
-        std::lock_guard<std::mutex> lock(live_mu_);
-        auto it = live_ops_.find(report.op.id);
-        if (it != live_ops_.end()) budget = it->second;
-      }
-      std::string line = report.ToJson();
-      line.push_back('\n');
-      std::fwrite(line.data(), 1, line.size(), stderr);
-      if (budget != nullptr) {
-        budget->Cancel();
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.watchdog_cancels;
-      }
-    });
-    stall_hook_installed_ = true;
-  }
+  // The hook fires on the watchdog thread with the stalled op's identity;
+  // cancelling that request's budget makes the handler stop at its next
+  // checkpoint, which completes the response and frees the slot. The
+  // watchdog emits exactly one report per stall; we keep its JSON line.
+  obs::SetStallCallback([this](const obs::StallReport& report) {
+    std::string line = report.ToJson();
+    line.push_back('\n');
+    std::fwrite(line.data(), 1, line.size(), stderr);
+    if (report.op.kind == obs::OpKind::kService &&
+        obs::CancelOp(report.op.id)) {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.watchdog_cancels;
+    }
+  });
 }
 
 Service::~Service() {
   BeginDrain();
-  if (stall_hook_installed_) obs::SetStallCallback(nullptr);
+  obs::SetStallCallback(nullptr);
   // Every Handle call has returned by now, so the final snapshot flush sees
   // every install the requests made. This is the SIGTERM drain-then-exit
   // write.
@@ -419,12 +474,11 @@ std::string Service::HandleLine(std::string_view line) {
   return SerializeResponse(response);
 }
 
-Response Service::Reject(const char* code, const Request& req,
-                         std::uint64_t retry_after_ms) {
+Response Service::Reject(const char* code, const Request& req) {
   Response r = ErrorResponse(code, std::string("request rejected: ") + code);
   r.id = req.id;
   r.has_retry = true;
-  r.retry_after_ms = retry_after_ms;
+  r.retry_after_ms = kRetryAfterMs;
   VQDR_COUNTER_INC("svc.rejected");
   std::lock_guard<std::mutex> lock(stats_mu_);
   if (std::string_view(code) == "draining") {
@@ -450,17 +504,17 @@ Response Service::Handle(const Request& req) {
     return r;
   }
   if (draining()) {
-    return Reject("draining", req, options_.retry_after_ms);
+    return Reject("draining", req);
   }
   guard::BudgetClass& cls = classes_.Resolve(req.tenant);
   if (!cls.TryAcquire()) {
-    return Reject("overloaded", req, cls.spec().retry_after_ms);
+    return Reject("overloaded", req);
   }
   std::size_t now = in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (now > options_.queue_limit) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     cls.Release();
-    return Reject("overloaded", req, options_.retry_after_ms);
+    return Reject("overloaded", req);
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -470,32 +524,24 @@ Response Service::Handle(const Request& req) {
   std::uint64_t seq =
       next_request_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Built at admission, so the client's deadline_ms covers the whole run.
-  // Shared with live_ops_, where the watchdog's stall hook may cancel it.
-  auto budget = std::make_shared<guard::Budget>(cls.Grant(req.budget));
+  // Declared before the op scope, which detaches it before it is destroyed.
+  guard::Budget budget(cls.Grant(req.budget));
   std::uint64_t start_us = obs::TelemetryNowUs();
   Response r;
   {
     // Per-request op identity: a dynamic label under OpKind::kService, with
-    // the request budget attached so heartbeats flow from its checkpoints
-    // and the registry/watchdog can see its state.
+    // the request budget attached so heartbeats flow from its checkpoints,
+    // the registry/watchdog can see its state, and the stall hook can cancel
+    // it through obs::CancelOp.
     obs::OpScope op(obs::OpKind::kService,
-                    "svc." + req.op + "#" + std::to_string(seq),
-                    budget.get());
-    if (op.id() != 0) {
-      std::lock_guard<std::mutex> lock(live_mu_);
-      live_ops_[op.id()] = budget;
-    }
+                    "svc." + req.op + "#" + std::to_string(seq), &budget);
     try {
       VQDR_FAULT_TASK("svc.request");
-      r = entry->handler(req, *budget);
+      r = entry->handler(req, budget);
     } catch (const std::exception& e) {
       r = InternalError(e.what());
     } catch (...) {
       r = InternalError("unknown handler exception");
-    }
-    if (op.id() != 0) {
-      std::lock_guard<std::mutex> lock(live_mu_);
-      live_ops_.erase(op.id());
     }
   }
   r.has_elapsed = true;

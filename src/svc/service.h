@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,15 +22,21 @@
 // The vqdr-serve request engine (transport-free): admission control,
 // dispatch, and graceful degradation, shared by the socket server and the
 // in-process tests. One Service per process; it owns the per-tenant
-// budget-class table and the watchdog hookup, and it shares the
-// process-wide memo store across every request. An admitted request's
-// handler runs on the thread that called Handle (a connection thread under
-// the socket server), so queue_limit bounds the requests running at once.
+// budget-class table and the watchdog hookup, and it turns on the
+// process-wide memo switch so every request shares the warm store. An
+// admitted request's handler runs on the thread that called Handle (a
+// connection thread under the socket server), so queue_limit bounds the
+// requests running at once.
 //
 // Robustness contract (DESIGN.md §13):
 //  * Admission is explicit: a request past the tenant's concurrency slots or
 //    the global queue limit gets a structured "overloaded" rejection with a
-//    retry_after_ms hint — never a silent drop, never unbounded queueing.
+//    retry_after_ms hint of 25 ms (the same for "draining") — never a
+//    silent drop, never unbounded queueing.
+//  * An ill-formed request is a "bad_request", never a process abort: the
+//    request's queries are checked for what the engines assume (safety, one
+//    arity per relation, distinct view names, containment operands of equal
+//    head arity without negation) before any engine runs.
 //  * The request budget is built AT ADMISSION (deadline armed immediately),
 //    so everything after the gate counts against the client's deadline.
 //  * A tripped budget degrades, it does not fail: the response stays ok with
@@ -41,9 +46,10 @@
 //    thread and the connection both survive.
 //  * A wedged request is detected by the obs stall watchdog through its
 //    per-request op identity; the service's stall hook cancels that
-//    request's budget, so the handler stops at its next checkpoint, the
-//    response reports CANCELLED, and the admission slot is freed. Exactly
-//    one structured report per stall (native watchdog discipline).
+//    request's budget through obs::CancelOp, so the handler stops at its
+//    next checkpoint, the response reports CANCELLED, and the admission slot
+//    is freed. Exactly one structured report per stall (native watchdog
+//    discipline).
 
 namespace vqdr {
 struct UnrestrictedDeterminacyResult;
@@ -61,25 +67,11 @@ struct ServiceOptions {
   /// once. Beyond it: "overloaded".
   std::size_t queue_limit = 64;
 
-  /// Backpressure hint when the global queue limit rejects (per-tenant
-  /// rejections use the class's own hint).
-  std::uint64_t retry_after_ms = 25;
-
-  /// Install the stall hook that cancels a stalled request's budget (the
-  /// watchdog itself starts via VQDR_WATCHDOG_MS or obs::StartWatchdog).
-  bool cancel_stalled = true;
-
-  /// Turn on the process-wide memo store so every request shares the warm
-  /// cache. Engines install only kComplete outcomes and replay hits
-  /// byte-identically, so served results stay exact. false leaves the
-  /// VQDR_MEMO runtime default untouched.
-  bool enable_memo = true;
-
   /// Memo snapshot file backing warm restarts (DESIGN.md §14). "" falls back
   /// to the VQDR_MEMO_SNAPSHOT environment variable; both empty = no
   /// persistence. When set, the snapshot is loaded at construction and
   /// written by the background flusher, at drain, and by the "snapshot"
-  /// control op. Requires enable_memo.
+  /// control op.
   std::string memo_snapshot_path;
 
   /// Background snapshot flush interval in milliseconds. 0 = no background
@@ -101,6 +93,10 @@ struct ServiceStats {
 
 class Service {
  public:
+  /// Turns the process memo switch on: engines install only kComplete
+  /// outcomes and replay hits byte-identically, so served results stay
+  /// exact. Installs the stall hook (the watchdog itself starts via
+  /// VQDR_WATCHDOG_MS or obs::StartWatchdog).
   explicit Service(ServiceOptions options = {});
   ~Service();
 
@@ -144,8 +140,7 @@ class Service {
 
  private:
   void RegisterBuiltinOps();
-  Response Reject(const char* code, const Request& req,
-                  std::uint64_t retry_after_ms);
+  Response Reject(const char* code, const Request& req);
 
   ServiceOptions options_;
   OpRegistry registry_;
@@ -161,17 +156,11 @@ class Service {
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> next_request_{0};
 
-  // Live request budgets by op id, for the watchdog stall hook.
-  std::mutex live_mu_;
-  std::map<obs::OpId, std::shared_ptr<guard::Budget>> live_ops_;
-
   mutable std::mutex stats_mu_;
   ServiceStats stats_;
 
   // Baseline for the /metrics delta (captured at construction).
   obs::MetricsSnapshot metrics_baseline_;
-
-  bool stall_hook_installed_ = false;
 };
 
 /// A request's parsed engine inputs. Parsing order is fixed — views in
@@ -185,8 +174,10 @@ struct Scenario {
 };
 
 /// Builds the scenario of a determinacy/chase-style request: `schema` as
-/// "Name/arity ..." ("" = the query body schema), `views` as pure-CQ rules,
-/// `query` as a pure-CQ rule.
+/// "Name/arity ..." ("" = the query body schema), `views` as pure-CQ rules
+/// with distinct names, `query` as a pure-CQ rule. Every view and the query
+/// must be safe, and each relation must have one arity across them and the
+/// declared schema; a violation is an InvalidArgument status.
 Status BuildScenario(const std::string& schema,
                      const std::vector<std::string>& views,
                      const std::string& query, Scenario* out);

@@ -56,7 +56,6 @@ TEST(BudgetClass, SlotAccounting) {
   BudgetClassSpec spec;
   spec.name = "gold";
   spec.max_concurrent = 2;
-  spec.retry_after_ms = 7;
   BudgetClass cls(std::move(spec));
 
   EXPECT_TRUE(cls.TryAcquire());

@@ -146,6 +146,24 @@ TEST(OpRegistry, BudgetStateIsVisibleWhileInFlight) {
   EXPECT_GE(snap.heartbeats, 12u);
 }
 
+TEST(OpRegistry, CancelOpCancelsOnlyALiveGovernedOp) {
+  guard::Budget budget;
+  obs::OpId ended = 0;
+  {
+    obs::OpScope op(obs::OpKind::kService, "test.cancel", &budget);
+    ended = op.id();
+    ASSERT_NE(ended, 0u);
+    EXPECT_TRUE(obs::CancelOp(op.id()));
+    EXPECT_EQ(budget.stop_reason(), guard::Outcome::kCancelled);
+  }
+  // The scope detached the budget: an ended op is no longer cancellable.
+  EXPECT_FALSE(obs::CancelOp(ended));
+  EXPECT_FALSE(obs::CancelOp(ended + 1000000));  // no such op
+
+  obs::OpScope ungoverned(obs::OpKind::kService, "test.cancel.ungoverned");
+  EXPECT_FALSE(obs::CancelOp(ungoverned.id()));
+}
+
 TEST(OpRegistry, CompletedOpsAreKeptWhenAsked) {
   obs::SetKeepCompletedOps(4);
   obs::OpId id = 0;

@@ -201,7 +201,7 @@ TEST(MemoDifferential, TinyCapacityThrashStillMatchesCold) {
   std::vector<ConjunctiveQuery> slate = {ChainQuery(2), ChainQuery(3),
                                          ChainQuery(4), StarQuery(2),
                                          CycleQuery(3)};
-  memo::Store store(/*capacity=*/2, /*shards=*/1);
+  memo::Store store(/*capacity=*/2);
   for (int round = 0; round < 3; ++round) {
     for (const ConjunctiveQuery& a : slate) {
       for (const ConjunctiveQuery& b : slate) {

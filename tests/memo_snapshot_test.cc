@@ -210,11 +210,11 @@ TEST(StoreRegression, CapacityEnvOverflowIsRejected) {
   EXPECT_EQ(memo::ParseCapacityEnvValue("8192"), 8192u);
 }
 
-// Pre-PR, capacity was split per shard with a floor of one: Store(10) with
-// the default 8 shards held at most 8 entries and could evict after the
-// second insert into one shard. Capacity is now accounted globally.
+// Capacity was once split per shard with a floor of one: Store(10) over 8
+// shards held at most 8 entries and could evict after the second insert
+// into one shard. The store is now one LRU, so all 10 fit.
 TEST(StoreRegression, SmallCapacityIsNotFlooredAwayBySharding) {
-  memo::Store store(10);  // default 8 shards
+  memo::Store store(10);
   for (int i = 0; i < 10; ++i) {
     store.Put<int>("key-" + std::to_string(i), i);
   }
@@ -356,14 +356,14 @@ TEST(Snapshot, ChaseChainWorkloadSurvivesRoundTrip) {
 }
 
 TEST(Snapshot, RestorePreservesLruOrder) {
-  memo::Store cold(/*capacity=*/3, /*shards=*/1);
+  memo::Store cold(/*capacity=*/3);
   cold.Put<bool>("a", true);
   cold.Put<bool>("b", true);
   cold.Put<bool>("c", true);
   ASSERT_NE(cold.Get<bool>("a"), nullptr);  // "a" becomes most-recent
 
   std::string image = memo::SerializeSnapshot(cold, nullptr);
-  memo::Store warm(/*capacity=*/3, /*shards=*/1);
+  memo::Store warm(/*capacity=*/3);
   ASSERT_FALSE(memo::DeserializeSnapshot(image, warm).corrupt);
 
   // The restored recency order must match: inserting one more evicts "b"

@@ -1,4 +1,4 @@
-// Unit battery for the memo subsystem: the sharded LRU store itself, the
+// Unit battery for the memo subsystem: the LRU store itself, the
 // canonical CQ/UCQ fingerprints it keys on, and the engine wiring — every
 // memoized entry point must return byte-identical results to a cold run,
 // hit the cache on the second call, and replay factory state exactly.
@@ -87,8 +87,7 @@ TEST(MemoStore, FirstInstallWins) {
 }
 
 TEST(MemoStore, LruEvictsLeastRecentlyUsed) {
-  // One shard so the LRU order is global and observable.
-  memo::Store store(/*capacity=*/2, /*shards=*/1);
+  memo::Store store(/*capacity=*/2);
   store.Put<int>("a", 1);
   store.Put<int>("b", 2);
   ASSERT_NE(store.Get<int>("a"), nullptr);  // "a" becomes most-recent
@@ -101,12 +100,31 @@ TEST(MemoStore, LruEvictsLeastRecentlyUsed) {
 }
 
 TEST(MemoStore, EvictedEntriesStayValidThroughSharedPtr) {
-  memo::Store store(/*capacity=*/1, /*shards=*/1);
+  memo::Store store(/*capacity=*/1);
   store.Put<std::string>("a", std::string("payload"));
   auto held = store.Get<std::string>("a");
   store.Put<std::string>("b", std::string("other"));  // evicts "a"
   ASSERT_NE(held, nullptr);
   EXPECT_EQ(*held, "payload");
+}
+
+// Whatever the keys hash to, an insert into a full store evicts the entry
+// least recently used across the whole store, and only that one.
+TEST(MemoStore, EvictsTheStoreWideLeastRecentlyUsedEntry) {
+  for (int set = 0; set < 100; ++set) {
+    std::vector<std::string> keys;
+    for (int i = 0; i < 5; ++i) {
+      keys.push_back("set" + std::to_string(set) + "/key" + std::to_string(i));
+    }
+    memo::Store store(4);
+    for (int i = 0; i < 4; ++i) store.Put<int>(keys[i], i);
+    ASSERT_NE(store.Get<int>(keys[0]), nullptr);  // keys[1] is now the LRU
+    store.Put<int>(keys[4], 4);
+    EXPECT_EQ(store.size(), 4u) << "key set " << set;
+    EXPECT_EQ(store.Stats().evictions, 1u) << "key set " << set;
+    EXPECT_EQ(store.Get<int>(keys[1]), nullptr) << "key set " << set;
+    EXPECT_NE(store.Get<int>(keys[0]), nullptr) << "key set " << set;
+  }
 }
 
 TEST(MemoStore, ClearEmptiesEveryShard) {

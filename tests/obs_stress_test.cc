@@ -146,7 +146,7 @@ TEST_P(ObsStressFixture, SharedExplainLogSurvivesParallelSweep) {
   std::vector<std::thread> writers;
   for (int t = 0; t < threads; ++t) {
     writers.emplace_back([&left, &right, &options] {
-      EXPECT_TRUE(CqContainedIn(left, right, options));
+      EXPECT_TRUE(CqContainedInGoverned(left, right, options).contained);
     });
   }
   for (std::thread& w : writers) w.join();

@@ -3,15 +3,18 @@
 
 #include <gtest/gtest.h>
 
-#include "core/reference_rewriter.h"
 #include "core/rewriting.h"
 #include "cq/containment.h"
 #include "cq/parser.h"
 #include "gen/random_query.h"
 #include "gen/workloads.h"
+#include "rewriting_oracle.h"
 
 namespace vqdr {
 namespace {
+
+using oracle::FindCqRewritingByEnumeration;
+using oracle::ReferenceRewritingOptions;
 
 TEST(ReferenceRewriter, FindsTheObviousRewriting) {
   ViewSet views = PathViews(2);

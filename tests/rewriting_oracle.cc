@@ -1,4 +1,4 @@
-#include "core/reference_rewriter.h"
+#include "rewriting_oracle.h"
 
 #include <functional>
 #include <vector>
@@ -6,24 +6,16 @@
 #include "base/check.h"
 #include "core/rewriting.h"
 #include "cq/containment.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
-namespace vqdr {
+namespace vqdr::oracle {
 
 ReferenceRewritingResult FindCqRewritingByEnumeration(
     const ViewSet& views, const ConjunctiveQuery& q,
     const ReferenceRewritingOptions& options) {
-  VQDR_TRACE_SPAN("rewrite.enumerate");
   VQDR_CHECK(views.AllPureCq());
   VQDR_CHECK(q.IsPureCq() && q.IsSafe());
 
   ReferenceRewritingResult result;
-
-  // candidates_examined is the delta of the shared obs counter across this
-  // call rather than a private tally (searches are single-threaded).
-  obs::Counter& candidates = obs::GetCounter("rewrite.candidates");
-  const std::uint64_t candidates_before = candidates.value();
 
   // Head: fresh variables h1..hk; body variables drawn from the heads plus
   // a pool b1..bp.
@@ -42,8 +34,7 @@ ReferenceRewritingResult FindCqRewritingByEnumeration(
   // range over the term pool.
   std::vector<Atom> atoms;
   std::function<bool()> test_candidate = [&]() -> bool {
-    candidates.Increment();
-    if (candidates.value() - candidates_before > options.max_candidates) {
+    if (++result.candidates_examined > options.max_candidates) {
       result.exhaustive = false;
       return true;  // stop everything
     }
@@ -93,9 +84,7 @@ ReferenceRewritingResult FindCqRewritingByEnumeration(
   };
 
   build(options.max_atoms);
-  result.candidates_examined = candidates.value() - candidates_before;
-  if (result.exists) VQDR_COUNTER_INC("rewrite.found");
   return result;
 }
 
-}  // namespace vqdr
+}  // namespace vqdr::oracle

@@ -1,12 +1,17 @@
-#ifndef VQDR_CORE_REFERENCE_REWRITER_H_
-#define VQDR_CORE_REFERENCE_REWRITER_H_
+#ifndef VQDR_TESTS_REWRITING_ORACLE_H_
+#define VQDR_TESTS_REWRITING_ORACLE_H_
 
+// The differential oracle for rewriting synthesis (core/rewriting.h). Linked
+// only by the reference-rewriter battery (tests/reference_rewriter_test.cc);
+// no production code reaches it.
+
+#include <cstdint>
 #include <optional>
 
 #include "cq/conjunctive_query.h"
 #include "views/view_set.h"
 
-namespace vqdr {
+namespace vqdr::oracle {
 
 /// A brute-force *reference* implementation of equivalent-rewriting search
 /// ([22]): enumerate every candidate CQ over the view schema up to the
@@ -14,7 +19,7 @@ namespace vqdr {
 /// LMSS bound, a rewriting exists iff one exists with at most |body(Q)|
 /// atoms, so with large enough bounds this is complete — but it is
 /// exponential and exists purely to cross-validate the chase-based
-/// synthesiser (core/rewriting.h), which is the production path.
+/// synthesiser FindCqRewriting, which is the production path.
 struct ReferenceRewritingOptions {
   /// Max view atoms in a candidate.
   int max_atoms = 2;
@@ -41,6 +46,6 @@ ReferenceRewritingResult FindCqRewritingByEnumeration(
     const ViewSet& views, const ConjunctiveQuery& q,
     const ReferenceRewritingOptions& options);
 
-}  // namespace vqdr
+}  // namespace vqdr::oracle
 
-#endif  // VQDR_CORE_REFERENCE_REWRITER_H_
+#endif  // VQDR_TESTS_REWRITING_ORACLE_H_

@@ -86,7 +86,7 @@ TEST_F(SvcChaosTest, CancelAtStepDegradesToHonestPrefix) {
 
 TEST_F(SvcChaosTest, InjectedStallIsDetectedCancelledAndReported) {
   Service service;  // installs the stall-cancel hook
-  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/100, /*poll_ms=*/20));
+  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/100));
   std::uint64_t reports_before = obs::WatchdogStallReports();
 
   // The first checkpoint sleeps 2s — far past the 100ms stall threshold.

@@ -217,7 +217,6 @@ TEST(SvcService, PerTenantAdmissionRejectsWithClassHint) {
   guard::BudgetClassSpec gold;
   gold.name = "gold";
   gold.max_concurrent = 1;
-  gold.retry_after_ms = 7;
   service.classes().Define(std::move(gold));
 
   // Occupy the tenant's only slot, as a concurrent request would.
@@ -230,7 +229,7 @@ TEST(SvcService, PerTenantAdmissionRejectsWithClassHint) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.code, "overloaded");
   ASSERT_TRUE(r.has_retry);
-  EXPECT_EQ(r.retry_after_ms, 7u);  // the class's own hint
+  EXPECT_EQ(r.retry_after_ms, 25u);  // the service's one hint
   EXPECT_EQ(service.stats().rejected_overloaded, 1u);
 
   cls.Release();
@@ -241,14 +240,13 @@ TEST(SvcService, PerTenantAdmissionRejectsWithClassHint) {
 TEST(SvcService, GlobalQueueLimitBackpressure) {
   ServiceOptions options;
   options.queue_limit = 0;  // every queued request overflows
-  options.retry_after_ms = 13;
   Service service(options);
 
   Response r = service.Handle(MustParse(kDeterminedRequest));
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.code, "overloaded");
   ASSERT_TRUE(r.has_retry);
-  EXPECT_EQ(r.retry_after_ms, 13u);
+  EXPECT_EQ(r.retry_after_ms, 25u);
   EXPECT_EQ(service.stats().rejected_overloaded, 1u);
   EXPECT_EQ(service.in_flight(), 0u);  // the slot was rolled back
 
@@ -317,6 +315,61 @@ TEST(SvcService, SchemaArityMustBeAWholeNumberInRange) {
   Response ok = service.Handle(MustParse(
       "{\"op\":\"parse\",\"kind\":\"instance\",\"schema\":\"R/2\","
       "\"text\":\"R(a, b)\"}"));
+  EXPECT_TRUE(ok.ok) << ok.error;
+}
+
+TEST(SvcService, IllFormedRequestsAreBadRequestsNotAborts) {
+  Service service;
+  // Each request parses, but an engine would VQDR_CHECK-abort on it: the
+  // service must answer bad_request and keep serving.
+  const char* requests[] = {
+      // Containment: head arities differ; negation; R at two arities;
+      // unsafe q2, unsafe q1, and an unsafe UCQ disjunct.
+      R"~({"op":"containment","q1":"Q(x) :- R(x)",)~"
+      R"~("q2":"Q(x, y) :- R(x), R(y)"})~",
+      R"~({"op":"containment","q1":"Q(x) :- R(x), not S(x)",)~"
+      R"~("q2":"Q(x) :- R(x)"})~",
+      R"~({"op":"containment","q1":"Q(x) :- R(x, y)","q2":"Q(x) :- R(x)"})~",
+      R"~({"op":"containment","q1":"Q(x) :- R(x)","q2":"Q(x) :- R(y)"})~",
+      R"~({"op":"containment","q1":"Q(x) :- R(y)","q2":"Q(x) :- R(x)"})~",
+      R"~({"op":"containment","kind":"ucq",)~"
+      R"~("q1":"Q(x) :- R(x) | Q(x) :- R(y)","q2":"Q(x) :- R(x)"})~",
+      // Determinacy: unsafe query, unsafe view, R at two arities, a view
+      // disagreeing with the declared schema, two views named V.
+      R"~({"op":"determinacy","views":["V(x, y) :- R(x, y)"],)~"
+      R"~("query":"Q(x) :- R(y, z)"})~",
+      R"~({"op":"determinacy","views":["V(x) :- R(y)"],)~"
+      R"~("query":"Q(x) :- R(x)"})~",
+      R"~({"op":"determinacy","views":["V(x) :- R(x, y)"],)~"
+      R"~("query":"Q(x) :- R(x)"})~",
+      R"~({"op":"determinacy","schema":"R/1","views":["V(x) :- R(x, y)"],)~"
+      R"~("query":"Q(x) :- R(x, y)"})~",
+      R"~({"op":"determinacy","views":["V(x) :- R(x)","V(x) :- S(x)"],)~"
+      R"~("query":"Q(x) :- R(x), S(x)"})~",
+      // Chase: R at two arities.
+      R"~({"op":"chase","views":["V(x) :- R(x, y)"],)~"
+      R"~("query":"Q(x) :- R(x)"})~",
+  };
+  for (const char* request : requests) {
+    std::string line = service.HandleLine(request);
+    std::optional<obs::json::Value> v = MustJson(line);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->StringOr("code", ""), "bad_request")
+        << request << " -> " << line;
+  }
+
+  // A batch item gets its own error entry; the other items still run.
+  Response batch = service.Handle(MustParse(
+      R"~({"op":"batch","items":[)~"
+      R"~({"views":["V(x) :- R(x, y)"],"query":"Q(x) :- R(x)"},)~"
+      R"~({"views":["V(x,y) :- R(x,y)"],"query":"Q(x) :- R(x,y)"}]})~"));
+  ASSERT_TRUE(batch.ok);
+  EXPECT_EQ(batch.result_json.rfind("{\"items\":[{\"error\":", 0), 0u)
+      << batch.result_json;
+  EXPECT_NE(batch.result_json.find("\"items_completed\":1"), std::string::npos)
+      << batch.result_json;
+
+  Response ok = service.Handle(MustParse(kDeterminedRequest));
   EXPECT_TRUE(ok.ok) << ok.error;
 }
 

@@ -59,7 +59,7 @@ class WatchdogTest : public ::testing::Test {
 
 TEST_F(WatchdogTest, EmitsExactlyOneReportForOneStall) {
   trap_.Install();
-  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/100, /*poll_ms=*/20));
+  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/100));
   ASSERT_TRUE(obs::WatchdogRunning());
 
   // The checkpoint at step 50 sleeps 600ms: six watchdog thresholds deep,
@@ -104,7 +104,7 @@ TEST_F(WatchdogTest, EmitsExactlyOneReportForOneStall) {
 
 TEST_F(WatchdogTest, ReArmsAndReportsASecondDistinctStall) {
   trap_.Install();
-  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/80, /*poll_ms=*/20));
+  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/80));
 
   guard::Budget budget(guard::BudgetSpec{});
   {
@@ -130,7 +130,7 @@ TEST_F(WatchdogTest, ReArmsAndReportsASecondDistinctStall) {
 
 TEST_F(WatchdogTest, StaysSilentWhileProgressFlows) {
   trap_.Install();
-  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/100, /*poll_ms=*/20));
+  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/100));
 
   guard::Budget budget(guard::BudgetSpec{});
   {
@@ -169,7 +169,7 @@ TEST_F(WatchdogTest, StallLeavesEngineVerdictAndPrefixUntouched) {
   // must land before that) and the watchdog armed tight enough to trip
   // during it.
   trap_.Install();
-  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/80, /*poll_ms=*/20));
+  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/80));
   guard::ArmStallFault(/*at_step=*/2, /*sleep_ms=*/300);
   guard::Budget stalled_budget(guard::BudgetSpec{.max_steps = 100000});
   options.budget = &stalled_budget;
@@ -200,7 +200,7 @@ TEST_F(WatchdogTest, StallLeavesEngineVerdictAndPrefixUntouched) {
 
 TEST_F(WatchdogTest, ReportSerializesAsOneStallEvent) {
   trap_.Install();
-  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/80, /*poll_ms=*/20));
+  ASSERT_TRUE(obs::StartWatchdog(/*stall_ms=*/80));
   guard::ArmStallFault(/*at_step=*/10, /*sleep_ms=*/250);
 
   guard::Budget budget(guard::BudgetSpec{.max_steps = 1000});
@@ -222,13 +222,12 @@ TEST_F(WatchdogTest, ReportSerializesAsOneStallEvent) {
   EXPECT_EQ(json.back(), '}');
 }
 
-// Thresholds and poll periods a timed wait cannot represent must be
-// refused: the stall check reads a 2^64-1 ms threshold (what "-1" reads as
-// through strtoull) as -1 ms, and every op would count as stalled.
+// Thresholds a timed wait cannot represent must be refused: the stall check
+// reads a 2^64-1 ms threshold (what "-1" reads as through strtoull) as
+// -1 ms, and every op would count as stalled.
 TEST_F(WatchdogTest, RefusesUnrepresentablePeriods) {
   EXPECT_FALSE(obs::StartWatchdog(std::numeric_limits<std::uint64_t>::max()));
   EXPECT_FALSE(obs::StartWatchdog(kMaxWaitMs + 1));
-  EXPECT_FALSE(obs::StartWatchdog(100, kMaxWaitMs + 1));
   EXPECT_FALSE(obs::WatchdogRunning());
 }
 
