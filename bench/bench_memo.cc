@@ -11,11 +11,12 @@
 
 #include <chrono>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
 
-#include "core/determinacy_batch.h"
+#include "core/determinacy.h"
 #include "cq/containment.h"
 #include "gen/random_query.h"
 #include "gen/workloads.h"
@@ -110,32 +111,29 @@ void BM_MemoDeterminacyBatchWarm(benchmark::State& state) {
   // A batch whose items repeat (every pair appears three times): even a
   // single batch submission amortizes each decision across its duplicates,
   // and re-submissions are pure hits.
-  std::vector<DeterminacyBatchItem> items;
+  std::vector<std::pair<ViewSet, ConjunctiveQuery>> items;
   for (int length = 3; length <= 5; ++length) {
-    DeterminacyBatchItem item;
-    item.views = PathViews(2);
-    item.query = ChainQuery(length);
-    items.push_back(item);
+    items.emplace_back(PathViews(2), ChainQuery(length));
   }
   RandomCqOptions opts;
   opts.max_atoms = 4;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
-    DeterminacyBatchItem item;
-    item.views = RandomCqViews(rng, opts, /*count=*/2);
-    item.query = RandomCq(rng, opts);
-    items.push_back(item);
+    ViewSet views = RandomCqViews(rng, opts, /*count=*/2);
+    items.emplace_back(std::move(views), RandomCq(rng, opts));
   }
   // Triplicate the slate: duplicates amortize within one submission, and
   // re-submissions are pure hits.
-  std::vector<DeterminacyBatchItem> base = items;
+  auto base = items;
   for (int copy = 0; copy < 2; ++copy) {
     items.insert(items.end(), base.begin(), base.end());
   }
 
   auto run = [&] {
-    auto r = DecideUnrestrictedDeterminacyBatch(items);
-    benchmark::DoNotOptimize(r);
+    for (const auto& [views, query] : items) {
+      auto r = DecideUnrestrictedDeterminacy(views, query);
+      benchmark::DoNotOptimize(r);
+    }
   };
   double cold_seconds = ColdSecondsPerRun(run);
 
@@ -197,12 +195,9 @@ void BM_MemoSnapshotWarmBoot(benchmark::State& state) {
   // computes all of it; a warm boot pays a snapshot load plus one
   // exact-key lookup per item.
   auto slate = ContainmentSlate();
-  std::vector<DeterminacyBatchItem> items;
+  std::vector<std::pair<ViewSet, ConjunctiveQuery>> items;
   for (int length = 3; length <= 5; ++length) {
-    DeterminacyBatchItem item;
-    item.views = PathViews(2);
-    item.query = ChainQuery(length);
-    items.push_back(item);
+    items.emplace_back(PathViews(2), ChainQuery(length));
   }
 
   auto run_first_batch = [&](memo::Store& store) {
@@ -211,8 +206,10 @@ void BM_MemoSnapshotWarmBoot(benchmark::State& state) {
       bool r = CqContainedIn(a, b);
       benchmark::DoNotOptimize(r);
     }
-    auto d = DecideUnrestrictedDeterminacyBatch(items);
-    benchmark::DoNotOptimize(d);
+    for (const auto& [views, query] : items) {
+      auto d = DecideUnrestrictedDeterminacy(views, query);
+      benchmark::DoNotOptimize(d);
+    }
   };
 
   // Yesterday's process: compute once with the memo on, snapshot the store.

@@ -8,7 +8,10 @@
 //   view   V1(x) :- R(x, y)
 //   view   V2(x) :- P(x)
 //   query  Q(x) :- R(x, y), P(y)
-//   bound  2            # optional search domain size (default 2)
+//   bound  2
+//
+// `bound` is optional: the search domain size, a whole number in 1..4
+// (default 2).
 //
 // Usage:  ./build/examples/determinacy_tool [flags] [scenario-file]
 //         (no scenario file: reads stdin)
@@ -28,6 +31,7 @@
 //                    VQDR_OPS_DUMP_MS=<n> (periodic JSON dump to stderr) or
 //                    VQDR_WATCHDOG_MS=<n> (stall reports) instead.
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -111,8 +115,14 @@ int main(int argc, char** argv) {
     } else if (StartsWith(text, "query ")) {
       query_rule = std::string(text.substr(6));
     } else if (StartsWith(text, "bound ")) {
-      bound = std::atoi(std::string(text.substr(6)).c_str());
-      if (bound < 1 || bound > 4) return err("bound must be 1..4");
+      // The whole value must be the number: "2x", "+2" and out-of-range
+      // digits are refused, not read as a prefix.
+      std::string_view value = StripWhitespace(text.substr(6));
+      const char* end = value.data() + value.size();
+      auto [stop, ec] = std::from_chars(value.data(), end, bound);
+      if (ec != std::errc() || stop != end || bound < 1 || bound > 4) {
+        return err("bound must be 1..4");
+      }
     } else {
       return err("expected 'schema', 'view', 'query' or 'bound'");
     }

@@ -52,10 +52,8 @@ namespace {
 DeterminacyReport AnalyzeDeterminacyImpl(
     const ViewSet& views, const ConjunctiveQuery& q, const Schema& base,
     const DeterminacyAnalysisOptions& opts, obs::ExplainLog* log) {
-  guard::Budget* budget =
-      opts.budget != nullptr ? opts.budget : opts.search.budget;
+  guard::Budget* budget = opts.search.budget;
   EnumerationOptions search_opts = opts.search;
-  search_opts.budget = budget;
   search_opts.explain = log;
 
   DeterminacyReport report;
@@ -110,7 +108,7 @@ DeterminacyReport AnalyzeDeterminacy(const ViewSet& views,
   // The whole battery is one in-flight operation: every sub-call (decision,
   // searches, probes) attributes to it in the live registry.
   obs::OpScope op(obs::OpKind::kAnalyze, "report.analyze",
-                  opts.budget != nullptr ? opts.budget : opts.search.budget);
+                  opts.search.budget);
   // Attribute all counter/histogram movement during the battery to this
   // report (single-threaded analysis, so the delta is exactly ours).
   obs::MetricsSnapshot before = obs::SnapshotMetrics();

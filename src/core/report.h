@@ -33,13 +33,10 @@ enum class DeterminacyVerdict {
 struct DeterminacyAnalysisOptions {
   /// Bound for the counterexample search, and for the Q_V monotonicity
   /// probe the battery runs when determinacy holds (Theorem 5.11(3)
-  /// evidence).
+  /// evidence). `search.budget` is the battery's one budget: a single
+  /// envelope over the chase decision, the searches and the probe, and the
+  /// budget of the battery's op. nullptr = ungoverned.
   EnumerationOptions search;
-  /// Optional resource budget: one envelope over the whole battery (chase
-  /// decision, searches, probes). Takes effect everywhere search.budget
-  /// would and in the chase decision too; when both are set, this one wins.
-  /// nullptr = ungoverned.
-  guard::Budget* budget = nullptr;
 
   /// Collect decision provenance into DeterminacyReport::explain: the chase
   /// decision's witness or refuting inverse, every counterexample pair the

@@ -45,21 +45,12 @@ ConjunctiveQuery ExpandRewriting(const ConjunctiveQuery& r,
         expansion.AddEquality(it->second, arg);
       }
     }
-    ConjunctiveQuery bound = fresh.RenameVariables(
-        [](const std::string& v) { return v; });  // copy
-    for (const Atom& atom : bound.atoms()) {
-      Atom mapped;
-      mapped.predicate = atom.predicate;
-      for (const Term& t : atom.args) {
-        if (t.is_var()) {
-          auto it = head_binding.find(t.var());
-          mapped.args.push_back(it != head_binding.end() ? it->second : t);
-        } else {
-          mapped.args.push_back(t);
-        }
-      }
-      expansion.AddAtom(std::move(mapped));
-    }
+    ConjunctiveQuery bound = fresh.MapTerms([&head_binding](const Term& t) {
+      if (t.is_const()) return t;
+      auto it = head_binding.find(t.var());
+      return it != head_binding.end() ? it->second : t;
+    });
+    for (const Atom& atom : bound.atoms()) expansion.AddAtom(atom);
   }
 
   bool satisfiable = true;

@@ -126,31 +126,33 @@ Schema ConjunctiveQuery::BodySchema() const {
   return schema;
 }
 
-ConjunctiveQuery ConjunctiveQuery::RenameVariables(
-    const std::function<std::string(const std::string&)>& rename) const {
-  auto map_term = [&rename](const Term& t) {
-    return t.is_var() ? Term::Var(rename(t.var())) : t;
-  };
-  auto map_atom = [&map_term](const Atom& a) {
+ConjunctiveQuery ConjunctiveQuery::MapTerms(
+    const std::function<Term(const Term&)>& map) const {
+  auto map_atom = [&map](const Atom& a) {
     Atom result;
     result.predicate = a.predicate;
     result.args.reserve(a.args.size());
-    for (const Term& t : a.args) result.args.push_back(map_term(t));
+    for (const Term& t : a.args) result.args.push_back(map(t));
     return result;
   };
   ConjunctiveQuery result(head_name_, {});
-  for (const Term& t : head_terms_) {
-    result.head_terms_.push_back(map_term(t));
-  }
+  for (const Term& t : head_terms_) result.head_terms_.push_back(map(t));
   for (const Atom& a : atoms_) result.AddAtom(map_atom(a));
   for (const Atom& a : negated_atoms_) result.AddNegatedAtom(map_atom(a));
   for (const TermComparison& c : equalities_) {
-    result.AddEquality(map_term(c.lhs), map_term(c.rhs));
+    result.AddEquality(map(c.lhs), map(c.rhs));
   }
   for (const TermComparison& c : disequalities_) {
-    result.AddDisequality(map_term(c.lhs), map_term(c.rhs));
+    result.AddDisequality(map(c.lhs), map(c.rhs));
   }
   return result;
+}
+
+ConjunctiveQuery ConjunctiveQuery::RenameVariables(
+    const std::function<std::string(const std::string&)>& rename) const {
+  return MapTerms([&rename](const Term& t) {
+    return t.is_var() ? Term::Var(rename(t.var())) : t;
+  });
 }
 
 namespace {

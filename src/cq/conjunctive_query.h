@@ -86,6 +86,11 @@ class ConjunctiveQuery {
   /// The schema induced by the positive and negative body atoms.
   Schema BodySchema() const;
 
+  /// A copy with every term — head, positive and negated atoms, equalities
+  /// and disequalities — replaced by `map(term)`: the one term walk behind
+  /// variable renaming, identification patterns and rewriting expansion.
+  ConjunctiveQuery MapTerms(const std::function<Term(const Term&)>& map) const;
+
   /// A copy with every variable renamed by `rename`. Renaming must be
   /// injective on the query's variables to preserve meaning.
   ConjunctiveQuery RenameVariables(

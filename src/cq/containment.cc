@@ -3,6 +3,8 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +35,7 @@ std::optional<std::string> ContainmentKey(const char* tag,
 }
 
 // The cached form of a containment result is its verdict. Only definitive
-// verdicts are cached: ResolveSweep reports every witness with outcome
+// verdicts are cached: SweepCanonicalDbs reports every witness with outcome
 // kComplete, so this single check also admits budget-stopped runs that
 // still found a witness.
 std::optional<bool> CacheableVerdict(const ContainmentResult& result) {
@@ -48,62 +50,22 @@ ContainmentResult CachedVerdict(bool contained) {
   return result;
 }
 
-// Applies a term substitution (variables → terms) to a query.
-ConjunctiveQuery SubstituteTerms(const ConjunctiveQuery& q,
-                                 const std::map<std::string, Term>& subst) {
-  auto map_term = [&subst](const Term& t) -> Term {
-    if (t.is_const()) return t;
-    auto it = subst.find(t.var());
-    return it != subst.end() ? it->second : t;
-  };
-  ConjunctiveQuery result(q.head_name(), {});
-  for (const Term& t : q.head_terms()) {
-    result.mutable_head_terms().push_back(map_term(t));
-  }
-  for (const Atom& a : q.atoms()) {
-    Atom mapped;
-    mapped.predicate = a.predicate;
-    for (const Term& t : a.args) mapped.args.push_back(map_term(t));
-    result.AddAtom(std::move(mapped));
-  }
-  for (const Atom& a : q.negated_atoms()) {
-    Atom mapped;
-    mapped.predicate = a.predicate;
-    for (const Term& t : a.args) mapped.args.push_back(map_term(t));
-    result.AddNegatedAtom(std::move(mapped));
-  }
-  for (const TermComparison& c : q.equalities()) {
-    result.AddEquality(map_term(c.lhs), map_term(c.rhs));
-  }
-  for (const TermComparison& c : q.disequalities()) {
-    result.AddDisequality(map_term(c.lhs), map_term(c.rhs));
-  }
-  return result;
-}
-
-// A collapsed canonical database of q1 under one identification pattern.
-struct PatternInstance {
-  Instance instance{Schema{}};
-  Tuple frozen_head;
-};
-
 // Records one pattern check into the explain log: a replayable witness when
-// the pattern passed (q2 maps into the canonical database hitting the frozen
-// head), the refuting canonical database when it failed. `q2` is the query
-// the witness binding is over (a CQ, or the witnessing UCQ disjunct).
+// `witness_query` — right disjunct number `disjunct` of q2 as given — maps
+// into the canonical database hitting the frozen head, the refuting
+// canonical database when `witness_query` is null (no right disjunct does).
 void RecordPatternCheck(obs::ExplainLog* log, const char* label,
-                        const ConjunctiveQuery& q2,
-                        const PatternInstance& pattern, bool pass,
-                        const Binding& witness_binding,
-                        std::int64_t disjunct = -1) {
+                        const FrozenQuery& pattern,
+                        const ConjunctiveQuery* witness_query,
+                        std::size_t disjunct, const Binding& witness_binding) {
   obs::ExplainEvent e;
   e.label = label;
   e.stats["instance_facts"] =
       static_cast<std::int64_t>(pattern.instance.TupleCount());
-  if (disjunct >= 0) e.stats["disjunct"] = disjunct;
-  if (pass) {
+  if (witness_query != nullptr) {
     e.kind = obs::ExplainKind::kWitness;
-    e.witness = MakeContainmentWitness(q2, pattern.instance,
+    e.stats["disjunct"] = static_cast<std::int64_t>(disjunct);
+    e.witness = MakeContainmentWitness(*witness_query, pattern.instance,
                                        pattern.frozen_head, witness_binding);
   } else {
     e.kind = obs::ExplainKind::kRefutation;
@@ -116,30 +78,6 @@ void RecordPatternCheck(obs::ExplainLog* log, const char* label,
     e.detail = "frozen head (" + head + ") has no preimage under the right query";
   }
   log->Append(std::move(e));
-}
-
-// Checks one canonical database against a UCQ disjunct by disjunct so the
-// witnessing disjunct — and its homomorphism — can be recorded. Equivalent
-// to EvaluateUcq + Contains for the negation-free disjuncts containment
-// admits (CqAnswerContains normalizes and filters the same way EvaluateCq
-// does). Skips recording when the budget stopped mid-check, mirroring the
-// governed sweep's "report pass so a stop cannot masquerade as a witness".
-bool ExplainedUcqCheck(obs::ExplainLog* log, const UnionQuery& q2,
-                       const PatternInstance& pattern, guard::Budget* budget) {
-  for (std::size_t i = 0; i < q2.disjuncts().size(); ++i) {
-    Binding witness;
-    bool pass = CqAnswerContains(q2.disjuncts()[i], pattern.instance,
-                                 pattern.frozen_head, budget, &witness);
-    if (budget != nullptr && budget->Stopped()) return true;
-    if (pass) {
-      RecordPatternCheck(log, "ucq.sub", q2.disjuncts()[i], pattern, true,
-                         witness, static_cast<std::int64_t>(i));
-      return true;
-    }
-  }
-  RecordPatternCheck(log, "ucq.sub", q2.disjuncts().front(), pattern, false,
-                     Binding{});
-  return false;
 }
 
 // Enumerates the collapsed queries of every identification pattern of q1's
@@ -175,7 +113,9 @@ bool ForEachIdentificationPattern(
         for (std::size_t j = 0; j < vars.size(); ++j) {
           subst[vars[j]] = rep[blocks[j]];
         }
-        return body(SubstituteTerms(q1, subst));
+        return body(q1.MapTerms([&subst](const Term& t) {
+          return t.is_var() ? subst.at(t.var()) : t;
+        }));
       }
       if (!assign(b + 1)) return false;  // fresh
       for (std::size_t ci = 0; ci < constants.size(); ++ci) {
@@ -211,7 +151,7 @@ bool ForEachIdentificationPattern(
 // vacuously satisfied.
 bool CheckPattern(const ConjunctiveQuery& collapsed,
                   const ValueFactory& base_factory,
-                  const std::function<bool(const PatternInstance&)>& check) {
+                  const std::function<bool(const FrozenQuery&)>& check) {
   VQDR_FAULT_ALLOC("cq.pattern");
   VQDR_COUNTER_INC("cq.containment.canonical_dbs");
   for (const TermComparison& c : collapsed.disequalities()) {
@@ -220,100 +160,117 @@ bool CheckPattern(const ConjunctiveQuery& collapsed,
   ConjunctiveQuery positive(collapsed.head_name(), collapsed.head_terms());
   for (const Atom& a : collapsed.atoms()) positive.AddAtom(a);
   ValueFactory factory = base_factory;
-  FrozenQuery frozen = Freeze(positive, factory);
-  PatternInstance pattern;
-  pattern.instance = std::move(frozen.instance);
-  pattern.frozen_head = std::move(frozen.frozen_head);
-  return check(pattern);
+  return check(Freeze(positive, factory));
 }
 
-// Aggregate state of one canonical-database sweep.
-struct SweepOutcome {
-  /// Conjunction over the patterns that were checked. Definitive-false once
-  /// any pattern failed (a witness of non-containment); "true so far"
-  /// otherwise.
-  bool all_passed = true;
-  /// A pattern check threw (real or injected allocation failure); the
-  /// exception was captured and the sweep stopped.
-  bool internal_error = false;
-  /// Pattern checks that ran to completion (including a failing one).
-  std::uint64_t patterns = 0;
-};
-
-// Tests `body` on every canonical database of `q1` sufficient for deciding
-// q1 ⊆ q2: for pure q1/q2 the single all-distinct freezing is complete
-// (Chandra–Merlin); with disequalities on either side, completeness needs
-// every identification pattern (van der Meyden's classical test for CQ≠
-// containment). The sweep stops at the first failing pattern (the witness
-// of non-containment).
+// Decides lhs ⊆ rhs for lists of disjuncts (Sagiv–Yannakakis): every
+// canonical database of every left disjunct must satisfy some right
+// disjunct. A CQ is its one-disjunct union. Every disjunct is normalised
+// once by PropagateEqualities, and the unsatisfiable ones are dropped: an
+// empty left disjunct is contained in anything, an empty right one matches
+// nothing. For a pure left disjunct and pure right disjuncts the single
+// all-distinct freezing is complete (Chandra–Merlin); with ≠ in the left
+// disjunct or in any right one, completeness needs every identification
+// pattern (van der Meyden's classical test for CQ≠ containment). The sweep
+// stops at the first failing pattern (the witness of non-containment).
 //
-// `budget`, when non-null, is charged one step per pattern; a trip stops
-// the sweep (check budget->Stopped() to distinguish from completion).
-// Exceptions from pattern checks are captured into internal_error and never
-// propagate.
-SweepOutcome SweepCanonicalDbs(
-    const ConjunctiveQuery& q1, const std::set<Value>& all_constants,
-    bool need_patterns, guard::Budget* budget,
-    const std::function<bool(const PatternInstance&)>& body) {
-  ValueFactory base_factory;
-  for (Value c : all_constants) base_factory.NoteUsed(c);
-  SweepOutcome out;
+// `options.budget`, when non-null, is charged one step per pattern and
+// polled by the matcher; a stop ends the sweep, and the result carries the
+// stop reason unless a witness was already found. An exception from a
+// pattern check (real or injected allocation failure) is captured as
+// kInternalError and never propagates. With an explain log attached, every
+// pattern check appends its witness or refutation under `label`.
+ContainmentResult SweepCanonicalDbs(std::span<const ConjunctiveQuery> lhs,
+                                    std::span<const ConjunctiveQuery> rhs,
+                                    const char* label,
+                                    const CqContainmentOptions& options) {
+  guard::Budget* budget = options.budget;
+  obs::ExplainLog* log =
+      obs::Wants(options.explain) ? options.explain : nullptr;
+  auto stopped = [budget] { return budget != nullptr && budget->Stopped(); };
 
-  // The all-distinct freezing is the only pattern.
-  if (!need_patterns) {
-    if (!guard::IsComplete(guard::Check(budget))) return out;
-    try {
-      out.all_passed = CheckPattern(q1, base_factory, body);
-      ++out.patterns;
-    } catch (...) {
-      if (budget != nullptr) budget->MarkInternalError();
-      out.internal_error = true;
-    }
-    return out;
+  // The satisfiable right disjuncts, and their index in rhs as given.
+  std::vector<ConjunctiveQuery> right;
+  std::vector<std::size_t> right_index;
+  std::set<Value> right_constants;
+  bool right_disequality = false;
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    VQDR_CHECK(!rhs[i].UsesNegation()) << "containment not supported for ¬";
+    bool sat = true;
+    ConjunctiveQuery normalized = rhs[i].PropagateEqualities(&sat);
+    if (!sat) continue;
+    right_disequality = right_disequality || normalized.UsesDisequality();
+    for (Value c : normalized.Constants()) right_constants.insert(c);
+    right.push_back(std::move(normalized));
+    right_index.push_back(i);
   }
 
-  try {
-    ForEachIdentificationPattern(
-        q1, all_constants, [&](const ConjunctiveQuery& collapsed) {
-          if (!guard::IsComplete(guard::Check(budget))) return false;
-          bool pass = CheckPattern(collapsed, base_factory, body);
-          ++out.patterns;
-          if (!pass && !(budget != nullptr && budget->Stopped())) {
-            out.all_passed = false;
+  // Matches the right disjuncts in order against one canonical database. A
+  // budget stop mid-match makes the answer meaningless; report "pass" so it
+  // cannot masquerade as a witness — the sweep records the stop separately.
+  std::function<bool(const FrozenQuery&)> satisfies_right =
+      [&](const FrozenQuery& pattern) {
+        Binding witness;
+        for (std::size_t i = 0; i < right.size(); ++i) {
+          bool pass = CqAnswerContains(right[i], pattern.instance,
+                                       pattern.frozen_head, budget,
+                                       log != nullptr ? &witness : nullptr);
+          if (stopped()) return true;
+          if (pass) {
+            if (log != nullptr) {
+              RecordPatternCheck(log, label, pattern, &right[i],
+                                 right_index[i], witness);
+            }
+            return true;
           }
-          return out.all_passed &&
-                 !(budget != nullptr && budget->Stopped());
-        });
+        }
+        if (log != nullptr) {
+          RecordPatternCheck(log, label, pattern, nullptr, 0, {});
+        }
+        return false;
+      };
+
+  ContainmentResult result;
+  // Checks one canonical database; false ends the sweep (a failing pattern
+  // or a stop).
+  auto visit = [&](const ConjunctiveQuery& collapsed,
+                   const ValueFactory& factory) {
+    if (!guard::IsComplete(guard::Check(budget))) return false;
+    bool pass = CheckPattern(collapsed, factory, satisfies_right);
+    ++result.patterns_checked;
+    if (!pass && !stopped()) result.contained = false;
+    return result.contained && !stopped();
+  };
+  try {
+    for (const ConjunctiveQuery& disjunct : lhs) {
+      VQDR_CHECK(!disjunct.UsesNegation())
+          << "containment not supported for ¬";
+      bool sat = true;
+      ConjunctiveQuery left = disjunct.PropagateEqualities(&sat);
+      if (!sat) continue;
+      std::set<Value> constants = right_constants;
+      for (Value c : left.Constants()) constants.insert(c);
+      ValueFactory factory;
+      for (Value c : constants) factory.NoteUsed(c);
+      bool swept =
+          left.UsesDisequality() || right_disequality
+              ? ForEachIdentificationPattern(
+                    left, constants,
+                    [&](const ConjunctiveQuery& collapsed) {
+                      return visit(collapsed, factory);
+                    })
+              : visit(left, factory);
+      if (!swept) {
+        // A witness is definitive however the sweep ended; otherwise the
+        // result is the budget's stop reason.
+        if (result.contained) result.outcome = guard::StopReason(budget);
+        return result;
+      }
+    }
   } catch (...) {
     if (budget != nullptr) budget->MarkInternalError();
-    out.internal_error = true;
-  }
-  return out;
-}
-
-std::set<Value> UnionConstants(const ConjunctiveQuery& a,
-                               const ConjunctiveQuery& b) {
-  std::set<Value> constants = a.Constants();
-  for (Value c : b.Constants()) constants.insert(c);
-  return constants;
-}
-
-// Folds a finished sweep into the public result shape. A witness is
-// definitive regardless of how the sweep ended; otherwise the outcome is
-// the budget's stop reason (kComplete when the sweep covered everything).
-ContainmentResult ResolveSweep(const SweepOutcome& sweep,
-                               guard::Budget* budget) {
-  ContainmentResult result;
-  result.patterns_checked = sweep.patterns;
-  if (!sweep.all_passed) {
-    result.contained = false;
-    return result;
-  }
-  if (sweep.internal_error) {
     result.outcome = guard::Outcome::kInternalError;
-    return result;
   }
-  result.outcome = guard::StopReason(budget);
   return result;
 }
 
@@ -330,41 +287,6 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
       << "containment is not supported for CQ¬";
   VQDR_CHECK_EQ(q1.head_arity(), q2.head_arity())
       << "containment between different arities";
-  guard::Budget* budget = options.budget;
-
-  auto compute = [&]() -> ContainmentResult {
-    ContainmentResult result;
-    bool sat1 = true;
-    ConjunctiveQuery n1 = q1.PropagateEqualities(&sat1);
-    if (!sat1) return result;  // empty query contained in anything
-    bool sat2 = true;
-    ConjunctiveQuery n2 = q2.PropagateEqualities(&sat2);
-    if (!sat2) {
-      result.contained = !CqSatisfiable(n1);
-      return result;
-    }
-
-    bool need_patterns = n1.UsesDisequality() || n2.UsesDisequality();
-    SweepOutcome sweep = SweepCanonicalDbs(
-        n1, UnionConstants(n1, n2), need_patterns, budget,
-        [&](const PatternInstance& pattern) {
-          bool want_explain = obs::Wants(options.explain);
-          Binding witness;
-          bool pass = CqAnswerContains(n2, pattern.instance,
-                                       pattern.frozen_head, budget,
-                                       want_explain ? &witness : nullptr);
-          // A budget stop mid-match makes the answer meaningless; report
-          // "pass" so it cannot masquerade as a witness — the sweep records
-          // the stop separately.
-          if (budget != nullptr && budget->Stopped()) return true;
-          if (want_explain) {
-            RecordPatternCheck(options.explain, "cq.sub", n2, pattern, pass,
-                               witness);
-          }
-          return pass;
-        });
-    return ResolveSweep(sweep, budget);
-  };
 
   return memo::CacheThrough<bool>(
       "memo.containment", "cq.sub", options.explain,
@@ -372,7 +294,10 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
         return ContainmentKey("cq.sub", CanonicalCqFingerprint(q1),
                               CanonicalCqFingerprint(q2));
       },
-      compute, CachedVerdict, CacheableVerdict);
+      [&] {
+        return SweepCanonicalDbs({&q1, 1}, {&q2, 1}, "cq.sub", options);
+      },
+      CachedVerdict, CacheableVerdict);
 }
 
 // The bool forms require completion: they run their governed twin with no
@@ -397,53 +322,6 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
   VQDR_TRACE_SPAN("cq.containment.ucq");
   VQDR_CHECK(!q1.empty() && !q2.empty()) << "containment with empty UCQ";
   VQDR_CHECK_EQ(q1.head_arity(), q2.head_arity());
-  guard::Budget* budget = options.budget;
-
-  auto compute = [&]() -> ContainmentResult {
-    bool q2_uses_diseq = false;
-    std::set<Value> q2_constants;
-    for (const ConjunctiveQuery& d2 : q2.disjuncts()) {
-      VQDR_CHECK(!d2.UsesNegation()) << "containment not supported for ¬";
-      if (d2.UsesDisequality()) q2_uses_diseq = true;
-      for (Value c : d2.Constants()) q2_constants.insert(c);
-    }
-
-    ContainmentResult result;
-    for (const ConjunctiveQuery& disjunct : q1.disjuncts()) {
-      VQDR_CHECK(!disjunct.UsesNegation())
-          << "containment not supported for ¬";
-      bool sat = true;
-      ConjunctiveQuery normalized = disjunct.PropagateEqualities(&sat);
-      if (!sat) continue;
-      if (!CqSatisfiable(normalized)) continue;
-
-      std::set<Value> constants = q2_constants;
-      for (Value c : normalized.Constants()) constants.insert(c);
-      bool need_patterns = normalized.UsesDisequality() || q2_uses_diseq;
-
-      SweepOutcome sweep = SweepCanonicalDbs(
-          normalized, constants, need_patterns, budget,
-          [&](const PatternInstance& pattern) {
-            if (obs::Wants(options.explain)) {
-              return ExplainedUcqCheck(options.explain, q2, pattern, budget);
-            }
-            Relation answer = EvaluateUcq(q2, pattern.instance);
-            if (budget != nullptr && budget->Stopped()) return true;
-            return answer.Contains(pattern.frozen_head);
-          });
-      ContainmentResult disjunct_result = ResolveSweep(sweep, budget);
-      result.patterns_checked += disjunct_result.patterns_checked;
-      if (!disjunct_result.contained) {
-        result.contained = false;
-        result.outcome = guard::Outcome::kComplete;
-        return result;
-      }
-      result.outcome =
-          guard::MergeOutcome(result.outcome, disjunct_result.outcome);
-      if (!guard::IsComplete(result.outcome)) return result;
-    }
-    return result;
-  };
 
   return memo::CacheThrough<bool>(
       "memo.containment.ucq", "ucq.sub", options.explain,
@@ -451,7 +329,11 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
         return ContainmentKey("ucq.sub", CanonicalUcqFingerprint(q1),
                               CanonicalUcqFingerprint(q2));
       },
-      compute, CachedVerdict, CacheableVerdict);
+      [&] {
+        return SweepCanonicalDbs(q1.disjuncts(), q2.disjuncts(), "ucq.sub",
+                                 options);
+      },
+      CachedVerdict, CacheableVerdict);
 }
 
 bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2) {
@@ -468,15 +350,11 @@ bool UcqEquivalent(const UnionQuery& q1, const UnionQuery& q2) {
 
 bool CqSatisfiable(const ConjunctiveQuery& q) {
   VQDR_CHECK(!q.UsesNegation()) << "satisfiability not supported for CQ¬";
+  // The frozen body with all-distinct variables satisfies every disequality
+  // between distinct terms; PropagateEqualities flags the rest.
   bool sat = true;
-  ConjunctiveQuery normalized = q.PropagateEqualities(&sat);
-  if (!sat) return false;
-  // The frozen body with all-distinct variables satisfies every remaining
-  // disequality between distinct terms; only x != x (already caught) fails.
-  for (const TermComparison& c : normalized.disequalities()) {
-    if (c.lhs == c.rhs) return false;
-  }
-  return true;
+  q.PropagateEqualities(&sat);
+  return sat;
 }
 
 }  // namespace vqdr

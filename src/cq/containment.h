@@ -28,8 +28,10 @@ struct CqContainmentOptions {
 
   /// Optional decision-provenance sink (DESIGN.md §10). When non-null,
   /// every pattern check appends an event: a kWitness with the replayable
-  /// homomorphism when the pattern passed, a kRefutation carrying the
-  /// canonical database when it failed, plus kMemo events for cache probes.
+  /// homomorphism and the `disjunct` stat (the index in q2 of the right
+  /// disjunct that matched; 0 for a CQ) when the pattern passed, a
+  /// kRefutation carrying the canonical database when no right disjunct
+  /// matched, plus kMemo events for cache probes.
   /// Appends are internally synchronized, so callers on several threads may
   /// share one log. The artifact grows with the identification-pattern
   /// count — attach it to targeted checks, not bulk batteries.
@@ -53,7 +55,10 @@ struct ContainmentResult {
 };
 
 /// Q1 ⊆ Q2 for conjunctive queries (the Chandra–Merlin canonical-instance
-/// test [9]). Handles constants and disequalities exactly: with ≠ present,
+/// test [9]). A CQ is its one-disjunct union: this and UcqContainedIn run
+/// one canonical-database sweep. Both operands are first normalised by
+/// PropagateEqualities, so a query safe only through an equality is
+/// answered. Handles constants and disequalities exactly: with ≠ present,
 /// all variable-identification patterns of Q1 consistent with its
 /// disequalities are checked (the classical complete test; exponential in
 /// the number of variables of Q1). Negation is not supported (aborts).
@@ -72,10 +77,13 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
 bool CqEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 
 /// UCQ containment (Sagiv–Yannakakis): Q1 ⊆ Q2 iff every canonical instance
-/// of every disjunct of Q1 satisfies Q2.
+/// of every disjunct of Q1 satisfies some disjunct of Q2 — the sweep
+/// CqContainedIn runs, over lists of disjuncts. Identification patterns of
+/// a Q1 disjunct are checked when it, or any disjunct of Q2, uses ≠.
 bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2);
 
-/// Governed UCQ containment; see CqContainedInGoverned.
+/// Governed UCQ containment; see CqContainedInGoverned. The right disjuncts
+/// are matched under options.budget, with or without an explain log.
 ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
                                          const UnionQuery& q2,
                                          const CqContainmentOptions& options);

@@ -10,10 +10,10 @@
 #include "obs/metrics.h"
 
 // Per-operation context: the identity layer of live telemetry (DESIGN.md
-// §11). Every *top-level* engine call — AnalyzeDeterminacy, a containment
-// check, a chase build, a counterexample/monotonicity search, the batch
-// decider — allocates a process-unique operation id and binds it to the
-// calling thread for the call's duration:
+// §11). Every *top-level* engine call — AnalyzeDeterminacy, a determinacy
+// decision, a containment check, a chase build, a counterexample or
+// monotonicity search, a vqdr-serve request — allocates a process-unique
+// operation id and binds it to the calling thread for the call's duration:
 //
 //   obs::OpScope op(obs::OpKind::kSearch, "search.determinacy", budget);
 //
@@ -46,7 +46,6 @@ enum class OpKind {
   kChase,         // BuildChaseChain
   kSearch,        // SearchDeterminacyCounterexample
   kMonotonicity,  // SearchMonotonicityViolation
-  kBatch,         // DecideUnrestrictedDeterminacyBatch[Governed]
   kService,       // one vqdr-serve request (svc::Service::Handle)
   kOther,
 };
@@ -66,8 +65,6 @@ inline const char* OpKindName(OpKind kind) {
       return "search";
     case OpKind::kMonotonicity:
       return "monotonicity";
-    case OpKind::kBatch:
-      return "batch";
     case OpKind::kService:
       return "service";
     case OpKind::kOther:
@@ -143,9 +140,9 @@ inline OpId CurrentOpId() {
 
 /// Records `n` liveness ticks against the bound operation (no-op when none).
 /// Fed by guard::Budget checkpoints and, so that ungoverned calls stay
-/// visible too, by the engines' long loops directly (each search instance,
-/// chase level and batch item); the watchdog treats a frozen heartbeat
-/// count as the stall signal.
+/// visible too, by the engines' long loops directly (each search instance
+/// and chase level); the watchdog treats a frozen heartbeat count as the
+/// stall signal.
 inline void OpHeartbeat(std::uint64_t n = 1) {
   internal::OpSlot* op = internal::t_current_op;
   if (op != nullptr) op->heartbeats.fetch_add(n, std::memory_order_relaxed);

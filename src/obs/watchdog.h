@@ -14,8 +14,8 @@
 // flat — for longer than the configured interval.
 //
 // Progress is fed by heartbeats the engines already emit: every
-// guard::Budget checkpoint, plus one obs::OpHeartbeat per search instance,
-// chase level and batch item of an ungoverned call. The watchdog only
+// guard::Budget checkpoint, plus one obs::OpHeartbeat per search instance
+// and chase level of an ungoverned call. The watchdog only
 // OBSERVES: it never cancels, never unblocks, never alters a verdict.
 // Exactly one report is emitted per stall; if the op resumes, the trigger
 // re-arms.

@@ -326,11 +326,11 @@ Response HandleDeterminacy(const Request& req, guard::Budget& budget) {
   return OkResponse(result.outcome, DeterminacyResultJson(result, sc.pool));
 }
 
-// The batch handler is the budget-composition showcase: the request budget
-// is the shared envelope, each item runs under a child budget (per-item caps
-// tightened, envelope charged through the parent link), and once the
-// envelope trips the remaining items are skipped with its stop reason — an
-// exact prefix, per item, never a guess.
+// The one batch loop, and the budget-composition showcase: the request
+// budget is the shared envelope, each item runs under a child budget
+// (per-item caps tightened, envelope charged through the parent link), and
+// once the envelope trips the remaining items are skipped with its stop
+// reason — an exact prefix, per item, never a guess.
 Response HandleBatch(const Request& req, guard::Budget& envelope) {
   if (req.items.empty()) {
     return ErrorResponse("bad_request", "batch requires \"items\"");

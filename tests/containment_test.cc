@@ -2,15 +2,22 @@
 // (Chandra–Merlin [9] and Sagiv–Yannakakis machinery used throughout the
 // paper's Section 3).
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "cq/canonical.h"
 #include "cq/containment.h"
 #include "cq/matcher.h"
 #include "cq/minimize.h"
 #include "cq/parser.h"
+#include "gen/random_query.h"
+#include "guard/budget.h"
 
 namespace vqdr {
 namespace {
@@ -218,6 +225,84 @@ TEST_F(ContainmentFixture, GoldenConstantAnchoredWitness) {
   EXPECT_EQ(RenderWitness(witness), "w=1 x=2");
   EXPECT_FALSE(CqContainedIn(general, specific));
   EXPECT_TRUE(CqContainedIn(specific, general));
+}
+
+// A query that is safe only through an equality (y occurs in no atom)
+// answers at both entry points, in both directions: each entry normalises
+// its operands before it matches them.
+TEST(ContainmentTest, EqualityBoundOperandAnswersAtBothEntries) {
+  NamePool pool;
+  auto cq = [&pool](const char* text) {
+    auto q = ParseCq(text, pool);
+    EXPECT_TRUE(q.ok()) << q.status().message() << " in: " << text;
+    return q.value();
+  };
+  ConjunctiveQuery plain = cq("Q(x) :- R(x)");
+  ConjunctiveQuery bound = cq("Q(x) :- R(x), x = y");
+  ConjunctiveQuery other = cq("Q(x) :- S(x)");
+  auto with_other = [&other](const ConjunctiveQuery& q) {
+    UnionQuery u(other);
+    u.AddDisjunct(q);
+    return u;
+  };
+
+  EXPECT_TRUE(CqContainedIn(plain, bound));
+  EXPECT_TRUE(CqContainedIn(bound, plain));
+  EXPECT_TRUE(UcqContainedIn(UnionQuery(plain), UnionQuery(bound)));
+  EXPECT_TRUE(UcqContainedIn(UnionQuery(bound), UnionQuery(plain)));
+  EXPECT_TRUE(UcqContainedIn(UnionQuery(plain), with_other(bound)));
+  EXPECT_TRUE(UcqContainedIn(UnionQuery(bound), with_other(plain)));
+}
+
+class ContainmentDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentDifferential,
+                         ::testing::Range<std::uint64_t>(1, 81));
+
+// Random CQ pairs with injected disequalities (forcing the
+// identification-pattern sweep): the governed sweep, charged one budget
+// step per pattern, must reach the ungoverned verdict in both directions,
+// and the UCQ entry on the one-disjunct unions must return the CQ entry's
+// verdict after checking the same patterns. Nothing here is parallel: the
+// name predates the removal of the sweep's thread fan-out.
+TEST_P(ContainmentDifferential, ParallelSweepMatchesSerialVerdict) {
+  Rng rng(GetParam() + 1000);
+  RandomCqOptions copts;
+  copts.max_atoms = 3;
+  ConjunctiveQuery q1 = RandomCq(rng, copts);
+  ConjunctiveQuery q2 = RandomCq(rng, copts);
+  // Add a disequality between two drawn variables on each side (when the
+  // query has at least two); identical draws make x != x, also a valid case.
+  auto add_diseq = [&rng](ConjunctiveQuery& q) {
+    std::vector<std::string> vars = q.AllVariables();
+    if (vars.size() < 2) return;
+    const std::string& a = vars[rng.Below(vars.size())];
+    const std::string& b = vars[rng.Below(vars.size())];
+    q.AddDisequality(Term::Var(a), Term::Var(b));
+  };
+  add_diseq(q1);
+  if (GetParam() % 2 == 0) add_diseq(q2);
+
+  bool serial12 = CqContainedIn(q1, q2);
+  bool serial21 = CqContainedIn(q2, q1);
+  guard::Budget budget;
+  CqContainmentOptions options;
+  options.budget = &budget;
+  EXPECT_EQ(CqContainedInGoverned(q1, q2, options).contained, serial12)
+      << "seed " << GetParam();
+  EXPECT_EQ(CqContainedInGoverned(q2, q1, options).contained, serial21)
+      << "seed " << GetParam();
+
+  for (const auto& [left, right] :
+       {std::pair(&q1, &q2), std::pair(&q2, &q1)}) {
+    ContainmentResult cq = CqContainedInGoverned(*left, *right, options);
+    ContainmentResult ucq = UcqContainedInGoverned(
+        UnionQuery(*left), UnionQuery(*right), options);
+    EXPECT_EQ(ucq.contained, cq.contained) << "seed " << GetParam();
+    EXPECT_EQ(ucq.patterns_checked, cq.patterns_checked)
+        << "seed " << GetParam();
+  }
 }
 
 }  // namespace

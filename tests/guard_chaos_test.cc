@@ -1,7 +1,9 @@
 // Chaos battery for the guard subsystem (ctest label GUARD): every fault
 // kind — injected allocation failure, task-throw inside a search chunk,
 // cancellation at exactly step N — fired at randomized-but-seeded steps
-// into search (at thread counts {1, 2, 8}), chase, containment, and batch.
+// into search (at thread counts {1, 2, 8}), chase, containment and the
+// determinacy decision (the served batch under fire is in
+// svc_chaos_test.cc).
 // Every scenario must end in a clean structured outcome: no crash, no
 // deadlock, every chunk run, no wrong or fabricated verdict, and a
 // budget-exhausted prefix identical to the same prefix of an unbudgeted
@@ -17,7 +19,6 @@
 #include "base/rng.h"
 #include "chase/chain.h"
 #include "core/determinacy.h"
-#include "core/determinacy_batch.h"
 #include "core/finite_search.h"
 #include "cq/containment.h"
 #include "cq/parser.h"
@@ -271,52 +272,6 @@ TEST_F(GuardChaosFixture, ContainmentCancelAtStepStopsSweep) {
   ContainmentResult result = CqContainedInGoverned(q1, q2, options);
   EXPECT_TRUE(guard::FaultFired());
   EXPECT_EQ(result.outcome, Outcome::kCancelled);
-}
-
-// --- batch under fire ------------------------------------------------------
-
-TEST_F(GuardChaosFixture, BatchSurvivesEveryFaultKind) {
-  DeterminacyBatchItem determined;
-  determined.views = CqViews({"V(x, y) :- E(x, y)"});
-  determined.query = Cq("Q(x, y) :- E(x, z), E(z, y)");
-  DeterminacyBatchItem refuted;
-  refuted.views = CqViews({"W(x) :- F(x, y)"});
-  refuted.query = Cq("Q(x, y) :- F(x, y)");
-  std::vector<DeterminacyBatchItem> items;
-  for (int i = 0; i < 4; ++i) {
-    items.push_back(determined);
-    items.push_back(refuted);
-  }
-
-  Rng rng(0xBA7C4);
-  struct Scenario {
-    FaultKind kind;
-    const char* site;
-    Outcome expected;
-  };
-  const Scenario scenarios[] = {
-      {FaultKind::kAllocFailure, "chase.view_inverse", Outcome::kInternalError},
-      {FaultKind::kCancel, nullptr, Outcome::kCancelled},
-  };
-  for (const Scenario& s : scenarios) {
-    std::uint64_t at = 1 + rng.Below(6);
-    FaultScope fault(s.kind, s.site, at);
-    Budget budget;
-    DeterminacyBatchResult result =
-        DecideUnrestrictedDeterminacyBatchGoverned(items, &budget);
-    EXPECT_TRUE(guard::FaultFired())
-        << "kind=" << static_cast<int>(s.kind) << " at=" << at;
-    EXPECT_EQ(result.outcome, s.expected)
-        << "kind=" << static_cast<int>(s.kind) << " at=" << at;
-    EXPECT_LT(result.items_completed, items.size());
-    ASSERT_EQ(result.results.size(), items.size());
-    // No wrong verdicts: every item claiming completion matches the
-    // ungoverned truth for its (views, query) pair.
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (!guard::IsComplete(result.results[i].outcome)) continue;
-      EXPECT_EQ(result.results[i].determined, i % 2 == 0) << "item " << i;
-    }
-  }
 }
 
 // --- determinacy decision under fire ---------------------------------------

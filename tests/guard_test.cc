@@ -1,7 +1,8 @@
 // Tests for the guard subsystem: Budget limit semantics (steps, atoms,
 // wall-clock deadline, chase levels), the Outcome lattice and its Status
 // mapping, and graceful degradation of every governed engine entry point —
-// chase chain, finite searches, containment, determinacy, report, batch.
+// chase chain, finite searches, containment, determinacy, report. The
+// served batch's shared envelope is tested in svc_test.cc.
 // Budget-stopped runs must return an honest prefix of work and never a
 // fabricated verdict.
 
@@ -15,7 +16,6 @@
 
 #include "chase/chain.h"
 #include "core/determinacy.h"
-#include "core/determinacy_batch.h"
 #include "core/finite_search.h"
 #include "core/report.h"
 #include "cq/containment.h"
@@ -389,43 +389,13 @@ TEST_F(GuardEngineFixture, ReportPropagatesBudgetOutcome) {
 
   Budget budget(BudgetSpec{.max_steps = 1});
   DeterminacyAnalysisOptions options;
-  options.budget = &budget;
+  options.search.budget = &budget;
   options.search.domain_size = 2;
   DeterminacyReport report = AnalyzeDeterminacy(views, q, base, options);
   EXPECT_EQ(report.verdict, DeterminacyVerdict::kOpenWithinBound);
   EXPECT_FALSE(report.searches_exhaustive);
   EXPECT_EQ(report.outcome, Outcome::kStepBudgetExhausted);
   EXPECT_NE(report.Summary().find("STEP_BUDGET_EXHAUSTED"), std::string::npos);
-}
-
-TEST_F(GuardEngineFixture, GovernedBatchSharesOneEnvelope) {
-  DeterminacyBatchItem item;
-  item.views = CqViews({"V(x, y) :- E(x, y)"});
-  item.query = Cq("Q(x, y) :- E(x, z), E(z, y)");
-  std::vector<DeterminacyBatchItem> items(6, item);
-
-  // Ungoverned: every item decided.
-  DeterminacyBatchResult full =
-      DecideUnrestrictedDeterminacyBatchGoverned(items);
-  EXPECT_EQ(full.outcome, Outcome::kComplete);
-  EXPECT_EQ(full.items_completed, items.size());
-  for (const auto& r : full.results) EXPECT_TRUE(r.determined);
-
-  // A shared envelope too small for the batch: a prefix completes, the
-  // rest carry the stop reason, and nothing claims a verdict it cannot.
-  Budget budget(BudgetSpec{.max_steps = 4});
-  DeterminacyBatchResult partial =
-      DecideUnrestrictedDeterminacyBatchGoverned(items, &budget);
-  EXPECT_EQ(partial.outcome, Outcome::kStepBudgetExhausted);
-  EXPECT_LT(partial.items_completed, items.size());
-  ASSERT_EQ(partial.results.size(), items.size());
-  for (const auto& r : partial.results) {
-    if (guard::IsComplete(r.outcome)) {
-      EXPECT_TRUE(r.determined);
-    } else {
-      EXPECT_EQ(r.outcome, Outcome::kStepBudgetExhausted);
-    }
-  }
 }
 
 TEST_F(GuardEngineFixture, CancelledBudgetStopsEverythingDownstream) {

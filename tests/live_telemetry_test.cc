@@ -191,18 +191,18 @@ TEST(OpRegistry, OpsDumpRefusesUnrepresentablePeriods) {
 }
 
 TEST(OpRegistry, JsonAndTextRendersCoverTheTable) {
-  obs::OpScope op(obs::OpKind::kBatch, "test.render");
+  obs::OpScope op(obs::OpKind::kDecide, "test.render");
   VQDR_COUNTER_INC("test.render.counter");
   std::vector<obs::OpSnapshot> ops = obs::SnapshotOps();
   std::string json = obs::OpsToJson(ops);
   EXPECT_NE(json.find("\"label\":\"test.render\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"batch\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"decide\""), std::string::npos);
   EXPECT_NE(json.find("\"test.render.counter\":1"), std::string::npos);
   std::string stamped = obs::OpsToJson(ops, 1754650000000ull);
   EXPECT_EQ(stamped.find("{\"event\":\"ops\",\"unix_ms\":1754650000000,"), 0u);
   std::string text = obs::RenderOpsText(ops);
   EXPECT_NE(text.find("test.render"), std::string::npos);
-  EXPECT_NE(text.find("[batch]"), std::string::npos);
+  EXPECT_NE(text.find("[decide]"), std::string::npos);
   EXPECT_EQ(obs::RenderOpsText({}), "ops: none in flight\n");
 }
 

@@ -473,6 +473,25 @@ TEST(MatcherDifferential, ContainmentVerdictsAgreeWithOracle) {
 
     EXPECT_EQ(OracleContainedIn(q1, q2), CqContainedIn(q1, q2))
         << "seed " << seed;
+
+    // The UCQ entry: on the one-disjunct unions it is Chandra–Merlin again;
+    // with a second random disjunct on each side, Sagiv–Yannakakis — every
+    // left disjunct maps into some right disjunct.
+    UnionQuery u1(q1);
+    UnionQuery u2(q2);
+    EXPECT_EQ(OracleContainedIn(q1, q2), UcqContainedIn(u1, u2))
+        << "seed " << seed;
+    u1.AddDisjunct(RandomCq(rng, qopt));
+    u2.AddDisjunct(RandomCq(rng, qopt));
+    bool expected = true;
+    for (const ConjunctiveQuery& left : u1.disjuncts()) {
+      bool mapped = false;
+      for (const ConjunctiveQuery& right : u2.disjuncts()) {
+        mapped = mapped || OracleContainedIn(left, right);
+      }
+      expected = expected && mapped;
+    }
+    EXPECT_EQ(expected, UcqContainedIn(u1, u2)) << "seed " << seed;
   }
 }
 

@@ -15,7 +15,6 @@
 #include "base/rng.h"
 #include "chase/chain.h"
 #include "core/determinacy.h"
-#include "core/determinacy_batch.h"
 #include "cq/containment.h"
 #include "cq/parser.h"
 #include "gen/random_query.h"
@@ -60,43 +59,46 @@ auto Warm(memo::Store& store, Call call) {
   return call();
 }
 
-std::vector<DeterminacyBatchItem> SeededItems() {
-  std::vector<DeterminacyBatchItem> items;
+// One (V, Q) pair of the seeded slate.
+struct Item {
+  ViewSet views;
+  ConjunctiveQuery query{"Q", {}};
+};
+
+std::vector<Item> SeededItems() {
+  std::vector<Item> items;
   RandomCqOptions opts;
   opts.max_atoms = 3;
   opts.variable_pool = 3;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
-    DeterminacyBatchItem item;
+    Item item;
     item.views = RandomCqViews(rng, opts, /*count=*/2);
     item.query = RandomCq(rng, opts);
     items.push_back(item);
   }
   // Duplicate the whole slate so warm runs are guaranteed repeat work: the
   // second half must be pure cache hits of the first.
-  std::vector<DeterminacyBatchItem> doubled = items;
+  std::vector<Item> doubled = items;
   doubled.insert(doubled.end(), items.begin(), items.end());
   return doubled;
 }
 
-// Runs the batch decider on `threads` std::threads at once, each over its
-// own contiguous slice of `items`, all against the caller's memo scope — the
-// sharing vqdr-serve's connection threads do with the process store. With
-// the duplicated slate, two threads decide the same items concurrently.
+// Decides `items` on `threads` std::threads at once, each over its own
+// contiguous slice, all against the caller's memo scope — the sharing
+// vqdr-serve's connection threads do with the process store. With the
+// duplicated slate, two threads decide the same items concurrently.
 std::vector<UnrestrictedDeterminacyResult> DecideOnThreads(
-    const std::vector<DeterminacyBatchItem>& items, int threads) {
+    const std::vector<Item>& items, int threads) {
   std::vector<UnrestrictedDeterminacyResult> results(items.size());
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
     const std::size_t begin = items.size() * t / threads;
     const std::size_t end = items.size() * (t + 1) / threads;
     workers.emplace_back([&items, &results, begin, end] {
-      std::vector<DeterminacyBatchItem> slice(items.begin() + begin,
-                                              items.begin() + end);
-      std::vector<UnrestrictedDeterminacyResult> decided =
-          DecideUnrestrictedDeterminacyBatch(slice);
-      for (std::size_t i = 0; i < decided.size(); ++i) {
-        results[begin + i] = std::move(decided[i]);
+      for (std::size_t i = begin; i < end; ++i) {
+        results[i] =
+            DecideUnrestrictedDeterminacy(items[i].views, items[i].query);
       }
     });
   }
@@ -105,11 +107,16 @@ std::vector<UnrestrictedDeterminacyResult> DecideOnThreads(
 }
 
 TEST(MemoDifferential, BatchDeterminacyColdVsWarmAcrossThreadCounts) {
-  std::vector<DeterminacyBatchItem> items = SeededItems();
+  std::vector<Item> items = SeededItems();
 
   // Cold baseline: serial, memo forced off.
-  std::vector<UnrestrictedDeterminacyResult> cold = Cold(
-      [&] { return DecideUnrestrictedDeterminacyBatch(items); });
+  std::vector<UnrestrictedDeterminacyResult> cold = Cold([&] {
+    std::vector<UnrestrictedDeterminacyResult> results;
+    for (const Item& item : items) {
+      results.push_back(DecideUnrestrictedDeterminacy(item.views, item.query));
+    }
+    return results;
+  });
   ASSERT_EQ(cold.size(), items.size());
 
   // Warm runs share one store across every thread count: entries installed

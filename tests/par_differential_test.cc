@@ -4,9 +4,7 @@
 // verdict, outcome, first counterexample and examined count — ungoverned at
 // every thread count, and at one thread also under a seeded step budget and
 // with an allocation fault armed at a seeded instance. 200 search triples
-// plus monotonicity sweeps; the containment and batch cases compare each
-// serial engine against a second way into it (governed sweep, item-by-item
-// decisions).
+// plus monotonicity sweeps.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +13,7 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "core/determinacy.h"
-#include "core/determinacy_batch.h"
 #include "core/finite_search.h"
-#include "cq/containment.h"
 #include "gen/random_query.h"
 #include "gen/workloads.h"
 #include "guard/budget.h"
@@ -275,98 +270,6 @@ TEST_P(MonotonicityOracleDifferential, AllocFaultMatchesOracle) {
   ExpectSameUnderAllocFault<MonotonicitySearchResult>(
       t, at, &SearchMonotonicityViolation,
       &oracle::SearchMonotonicityViolation);
-}
-
-class ContainmentDifferential
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentDifferential,
-                         ::testing::Range<std::uint64_t>(1, 81));
-
-// Random CQ pairs with injected disequalities (forcing the
-// identification-pattern sweep): the governed sweep, charged one budget
-// step per pattern, must reach the ungoverned verdict in both directions.
-TEST_P(ContainmentDifferential, ParallelSweepMatchesSerialVerdict) {
-  Rng rng(GetParam() + 1000);
-  RandomCqOptions copts;
-  copts.max_atoms = 3;
-  ConjunctiveQuery q1 = RandomCq(rng, copts);
-  ConjunctiveQuery q2 = RandomCq(rng, copts);
-  // Add a disequality between two drawn variables on each side (when the
-  // query has at least two); identical draws make x != x, also a valid case.
-  auto add_diseq = [&rng](ConjunctiveQuery& q) {
-    std::vector<std::string> vars = q.AllVariables();
-    if (vars.size() < 2) return;
-    const std::string& a = vars[rng.Below(vars.size())];
-    const std::string& b = vars[rng.Below(vars.size())];
-    q.AddDisequality(Term::Var(a), Term::Var(b));
-  };
-  add_diseq(q1);
-  if (GetParam() % 2 == 0) add_diseq(q2);
-
-  bool serial12 = CqContainedIn(q1, q2);
-  bool serial21 = CqContainedIn(q2, q1);
-  guard::Budget budget;
-  CqContainmentOptions options;
-  options.budget = &budget;
-  EXPECT_EQ(CqContainedInGoverned(q1, q2, options).contained, serial12)
-      << "seed " << GetParam();
-  EXPECT_EQ(CqContainedInGoverned(q2, q1, options).contained, serial21)
-      << "seed " << GetParam();
-}
-
-void ExpectSameDeterminacy(const UnrestrictedDeterminacyResult& a,
-                           const UnrestrictedDeterminacyResult& b) {
-  EXPECT_EQ(a.determined, b.determined);
-  EXPECT_EQ(a.canonical_view_image, b.canonical_view_image);
-  EXPECT_EQ(a.frozen_head, b.frozen_head);
-  EXPECT_EQ(a.chase_inverse, b.chase_inverse);
-  ASSERT_EQ(a.canonical_rewriting.has_value(),
-            b.canonical_rewriting.has_value());
-  if (a.canonical_rewriting) {
-    EXPECT_EQ(a.canonical_rewriting->ToString(),
-              b.canonical_rewriting->ToString());
-  }
-}
-
-TEST(BatchDifferential, BatchMatchesItemwiseDecisionsInOrder) {
-  std::vector<DeterminacyBatchItem> items;
-  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    Rng rng(seed);
-    RandomCqOptions copts;
-    DeterminacyBatchItem item;
-    item.views = RandomCqViews(rng, copts, 2);
-    item.query = RandomCq(rng, copts);
-    items.push_back(std::move(item));
-  }
-
-  std::vector<UnrestrictedDeterminacyResult> expected;
-  for (const DeterminacyBatchItem& item : items) {
-    expected.push_back(DecideUnrestrictedDeterminacy(item.views, item.query));
-  }
-
-  std::vector<UnrestrictedDeterminacyResult> got =
-      DecideUnrestrictedDeterminacyBatch(items);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "item " << i);
-    ExpectSameDeterminacy(expected[i], got[i]);
-  }
-}
-
-TEST(BatchDifferential, EmptyAndSingletonBatches) {
-  EXPECT_TRUE(DecideUnrestrictedDeterminacyBatch({}).empty());
-
-  Rng rng(7);
-  RandomCqOptions copts;
-  DeterminacyBatchItem item;
-  item.views = RandomCqViews(rng, copts, 1);
-  item.query = RandomCq(rng, copts);
-  std::vector<UnrestrictedDeterminacyResult> got =
-      DecideUnrestrictedDeterminacyBatch({item});
-  ASSERT_EQ(got.size(), 1u);
-  ExpectSameDeterminacy(
-      DecideUnrestrictedDeterminacy(item.views, item.query), got[0]);
 }
 
 // A workload with a *known* counterexample: the projection view family.

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <sys/stat.h>
 
@@ -426,6 +427,66 @@ TEST(SvcService, BatchEnvelopeSkipsAfterTrip) {
   EXPECT_NE(r.result_json.find("\"items_completed\":0"), std::string::npos);
   std::optional<obs::json::Value> v = MustJson(SerializeResponse(r));
   ASSERT_TRUE(v.has_value());
+}
+
+// One envelope over a served batch of six distinct determined items (the
+// service turns the memo on, so a repeated item would replay from the cache
+// without charging the envelope). Ungoverned, every item is decided; under
+// an envelope too small for the batch, a prefix finishes with its verdict
+// and the rest carry the stop reason, after a partial run or skipped.
+TEST(SvcService, GovernedBatchSharesOneEnvelope) {
+  std::string items;
+  for (const char* query :
+       {"Q(x) :- E(x,y)", "Q(x) :- E(x,x)", "Q(x,y) :- E(x,z), E(z,y)",
+        "Q(x,y) :- E(x,y), E(y,x)", "Q(x,y) :- E(x,a), E(a,b), E(b,y)",
+        "Q(x) :- E(x,y), E(y,z), E(z,x)"}) {
+    if (!items.empty()) items.push_back(',');
+    items += "{\"views\":[\"V(x,y) :- E(x,y)\"],\"query\":\"" +
+             std::string(query) + "\"}";
+  }
+  Service service;
+  // Runs the batch over a cold store and returns its items.
+  auto run = [&](const std::string& envelope, guard::Outcome expected) {
+    memo::GlobalStore().Clear();
+    Response r = service.Handle(MustParse("{\"op\":\"batch\"," + envelope +
+                                          "\"items\":[" + items + "]}"));
+    memo::GlobalStore().Clear();
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.outcome, expected);
+    std::optional<obs::json::Value> v = MustJson(r.result_json);
+    return v.has_value() && v->Find("items") != nullptr
+               ? v->Find("items")->array
+               : std::vector<obs::json::Value>{};
+  };
+
+  // Ungoverned: every item decided.
+  std::vector<obs::json::Value> full = run("", guard::Outcome::kComplete);
+  ASSERT_EQ(full.size(), 6u);
+  for (const obs::json::Value& item : full) {
+    EXPECT_EQ(item.Find("outcome")->string_value, "COMPLETE");
+    ASSERT_NE(item.Find("determined"), nullptr);
+    EXPECT_TRUE(item.Find("determined")->bool_value);
+  }
+
+  // A shared envelope too small for the batch: a nonempty prefix finishes,
+  // and nothing after it claims a verdict.
+  std::vector<obs::json::Value> partial =
+      run("\"max_steps\":4,", guard::Outcome::kStepBudgetExhausted);
+  ASSERT_EQ(partial.size(), 6u);
+  std::size_t completed = 0;
+  while (completed < partial.size() &&
+         partial[completed].Find("outcome")->string_value == "COMPLETE") {
+    ASSERT_NE(partial[completed].Find("determined"), nullptr);
+    EXPECT_TRUE(partial[completed].Find("determined")->bool_value);
+    ++completed;
+  }
+  EXPECT_GE(completed, 1u);
+  EXPECT_LT(completed, 6u);
+  for (std::size_t i = completed; i < partial.size(); ++i) {
+    EXPECT_EQ(partial[i].Find("outcome")->string_value,
+              "STEP_BUDGET_EXHAUSTED");
+    EXPECT_EQ(partial[i].Find("determined"), nullptr);
+  }
 }
 
 TEST(SvcService, BatchCompleteMatchesDirectPerItemResults) {
